@@ -18,9 +18,9 @@
 #include "algos/prefix_sums.hpp"
 #include "algos/tea_cipher.hpp"
 #include "bulk/bulk.hpp"
+#include "bulk/core_pool.hpp"
 #include "bulk/host_executor.hpp"
 #include "bulk/streaming_executor.hpp"
-#include "bulk/thread_pool.hpp"
 #include "bulk/timing_estimator.hpp"
 #include "bulk/umm_executor.hpp"
 #include "common/rng.hpp"

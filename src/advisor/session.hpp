@@ -20,8 +20,8 @@
 #include <string>
 
 #include "common/types.hpp"
+#include "bulk/core_pool.hpp"
 #include "bulk/layout.hpp"
-#include "bulk/thread_pool.hpp"
 #include "trace/program.hpp"
 #include "umm/machine_config.hpp"
 

@@ -16,153 +16,47 @@
 #endif
 
 #include "common/check.hpp"
-#include "bulk/thread_pool.hpp"
 
 namespace obx::bulk {
 
 namespace {
 
-struct Region;
+/// Busy-wait budget, in cpu_relax() iterations: how long an idle worker
+/// polls for a new region before it sleeps on the pool condvar, and how long
+/// a submitter polls for tiles other threads still run before it sleeps.
+constexpr std::size_t kSpinIterations = 2048;
 
-/// One lane-tile of one region.  Tasks live in the region's tiles vector
-/// (stable addresses — the vector is sized before any task is published),
-/// so deques only move pointers.
-struct TileTask {
-  Region* region = nullptr;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Chase–Lev work-stealing deque of TileTask pointers (the weak-memory
-/// formulation of Lê/Pop/Cohen/Nardelli).  push/pop are owner-only; steal
-/// is any-thread.  Cells are atomic pointers: after the owner wraps bottom
-/// past a slot a lagging thief may still read it, and the subsequent top
-/// CAS tells it the value was stale — a torn non-atomic read there would be
-/// UB, an atomic relaxed read is merely discarded.
-class WsDeque {
- public:
-  explicit WsDeque(std::size_t capacity = 512) : array_(new Array(capacity)) {}
-  WsDeque(const WsDeque&) = delete;
-  WsDeque& operator=(const WsDeque&) = delete;
-  ~WsDeque() {
-    delete array_.load(std::memory_order_relaxed);
-    for (Array* a : retired_) delete a;
-  }
-
-  /// Owner only.
-  void push(TileTask* task) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Array* a = array_.load(std::memory_order_relaxed);
-    if (b - t >= static_cast<std::int64_t>(a->capacity)) a = grow(a, t, b);
-    a->put(b, task);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
-  }
-
-  /// Owner only; nullptr when empty (or lost the last-element race).
-  TileTask* pop() {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Array* a = array_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
-    if (t > b) {
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    TileTask* task = a->get(b);
-    if (t == b) {
-      // Last element: race the thieves for it via top.
-      if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        task = nullptr;
-      }
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return task;
-  }
-
-  /// Any thread; nullptr when empty or on CAS contention (caller retries
-  /// elsewhere).
-  TileTask* steal() {
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
-    if (t >= b) return nullptr;
-    Array* a = array_.load(std::memory_order_acquire);
-    TileTask* task = a->get(t);
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return nullptr;
-    }
-    return task;
-  }
-
-  bool looks_empty() const {
-    return top_.load(std::memory_order_acquire) >=
-           bottom_.load(std::memory_order_acquire);
-  }
-
- private:
-  struct Array {
-    explicit Array(std::size_t c)
-        : capacity(c), mask(c - 1), cells(new std::atomic<TileTask*>[c]) {}
-    ~Array() { delete[] cells; }
-    const std::size_t capacity;
-    const std::size_t mask;
-    std::atomic<TileTask*>* const cells;
-
-    TileTask* get(std::int64_t i) const {
-      return cells[static_cast<std::size_t>(i) & mask].load(std::memory_order_relaxed);
-    }
-    void put(std::int64_t i, TileTask* task) {
-      cells[static_cast<std::size_t>(i) & mask].store(task, std::memory_order_relaxed);
-    }
-  };
-
-  Array* grow(Array* a, std::int64_t t, std::int64_t b) {
-    Array* bigger = new Array(a->capacity * 2);
-    for (std::int64_t i = t; i < b; ++i) bigger->put(i, a->get(i));
-    // The old array stays readable until the deque dies: a thief that loaded
-    // it pre-grow may still index it, and every live index maps to the same
-    // task in the new array (or to a stale cell its top CAS will reject).
-    retired_.push_back(a);
-    array_.store(bigger, std::memory_order_release);
-    return bigger;
-  }
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Array*> array_;
-  std::vector<Array*> retired_;  // owner-only (mutated under push)
-};
-
-/// One fork-join submission, living on the submitter's stack for its whole
-/// region (parallel_for does not return until finished() is true, so tasks
-/// and body stay valid for every thief).
-///
-/// Destruction protocol: unfinished hitting 0 is NOT the destruction
-/// barrier — the thread that performs the final decrement still has to
-/// notify the condvar, i.e. it keeps touching the region after the count
-/// reaches zero.  Its very last access is the release store to finished_,
-/// and the submitter must observe finished() before returning (and thereby
-/// destroying the stack-allocated mutex/condvar).
+/// One fork-join submission, living on the submitter's stack.  A thread may
+/// touch it only while it is on the pool's open list (under the pool mutex)
+/// or while that thread holds a claimed tile it has not yet retired:
+/// parallel_for returns only after `unfinished` reached zero and the region
+/// left the list.
 struct Region {
   const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-  std::vector<TileTask> tiles;
-  std::atomic<std::size_t> unfinished{0};
+  std::size_t count = 0;
+  std::size_t grain = 0;
+  std::size_t tiles = 0;
+  std::atomic<std::size_t> next{0};        ///< next unclaimed tile
+  std::atomic<std::size_t> unfinished{0};  ///< tiles not yet retired
   std::atomic<std::uint64_t> steals{0};
   std::atomic<bool> failed{false};
-  std::atomic<bool> finished_{false};
-  std::mutex mutex;  // guards error; also the done-signal rendezvous
-  std::condition_variable done;
-  std::exception_ptr error;
+  std::exception_ptr error;  ///< written once, by the thread that set failed
 
+  bool claimable() const { return next.load(std::memory_order_relaxed) < tiles; }
   bool completed() const { return unfinished.load(std::memory_order_acquire) == 0; }
-  /// True once the final completer is done with its last access; only after
-  /// this may the submitter destroy the region.
-  bool finished() const { return finished_.load(std::memory_order_acquire); }
+
+  void run_tile(std::size_t tile) {
+    if (failed.load(std::memory_order_acquire)) return;
+    const std::size_t begin = tile * grain;
+    try {
+      (*body)(begin, std::min(begin + grain, count));
+    } catch (...) {
+      bool expected = false;
+      if (failed.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
+        error = std::current_exception();
+      }
+    }
+  }
 };
 
 inline void cpu_relax() {
@@ -173,14 +67,6 @@ inline void cpu_relax() {
 #else
   std::this_thread::yield();
 #endif
-}
-
-/// xorshift64* — cheap per-thread victim selection.
-inline std::uint64_t next_rand(std::uint64_t& state) {
-  state ^= state >> 12;
-  state ^= state << 25;
-  state ^= state >> 27;
-  return state * 0x2545f4914f6cdd1dull;
 }
 
 bool env_flag_disabled(const char* name) {
@@ -195,60 +81,29 @@ bool env_flag_disabled(const char* name) {
 // ---------------------------------------------------------------------------
 
 struct CorePool::Impl {
-  /// Victim table entry.  Worker slots hold their deque for the pool's
-  /// lifetime; external-submitter slots hold a stack-allocated deque only
-  /// while its region runs, protected by a pin count so a thief never
-  /// dereferences a deque whose frame unwound (unregister spins until
-  /// pins == 0 *after* nulling the pointer; seq_cst on both sides orders
-  /// the thief's pin before its pointer load).
-  struct Slot {
-    std::atomic<WsDeque*> deque{nullptr};
-    std::atomic<std::uint32_t> pins{0};
-  };
-
   struct Worker {
-    WsDeque deque;
     std::atomic<std::uint64_t> busy_ns{0};
     std::thread thread;
-    unsigned index = 0;
-    Impl* pool = nullptr;
   };
 
-  /// The worker this thread is (and whose pool), when it is one: routes
-  /// nested submissions to the worker's own deque and keeps nested waits
-  /// from parking the worker.
-  static thread_local Impl* tls_pool;
-  static thread_local Worker* tls_worker;
+  explicit Impl(unsigned count)
+      : worker_count(count), pin(CorePool::pinning_enabled()), workers(count) {}
 
-  Config config;
-  unsigned worker_count = 1;
-  bool pin = false;
-
-  std::vector<std::unique_ptr<Worker>> workers;
-
-  /// Slots [0, worker_count) are the workers' deques; the rest are claimed
-  /// by concurrent external submitters.  slot_high_ is the scan horizon.
-  static constexpr std::size_t kExternalSlots = 64;
-  std::vector<Slot> slots;
-  std::atomic<std::size_t> slot_high{0};
-
-  // Parking (epoch / eventcount): a worker records the epoch under the
-  // mutex, re-checks for work, then waits for the epoch to move.  Wakers
-  // bump the epoch under the mutex after publishing tasks, so the re-check
-  // and the bump cannot interleave into a lost wakeup.
-  std::mutex park_mutex;
-  std::condition_variable park_cv;
-  std::uint64_t park_epoch = 0;  // guarded by park_mutex
-  std::atomic<unsigned> sleepers{0};
-
-  // Lifecycle.
+  const unsigned worker_count;
+  const bool pin;
+  std::vector<Worker> workers;  // threads start lazily, in ensure_started()
   std::once_flag start_once;
-  std::atomic<bool> started{false};
-  std::atomic<bool> shutdown{false};
-  std::mutex region_mutex;
-  std::condition_variable regions_done;
-  std::size_t active_regions = 0;  // guarded by region_mutex
-  bool draining = false;           // guarded by region_mutex
+
+  // Guarded by `mutex`, apart from `published`, which is written under it
+  // but also polled by spinning workers.
+  std::mutex mutex;
+  std::condition_variable work_cv;  // idle workers: region published, or shutdown
+  std::condition_variable done_cv;  // submitters: a region completed; ~CorePool: list drained
+  std::vector<Region*> open;        // from publication until parallel_for returns
+  std::atomic<std::uint64_t> published{0};
+  unsigned sleepers = 0;
+  bool draining = false;
+  bool shutdown = false;
 
   // Pool-lifetime counters.
   std::atomic<std::uint64_t> tasks_executed{0};
@@ -256,131 +111,45 @@ struct CorePool::Impl {
   std::atomic<std::uint64_t> parks{0};
   std::atomic<std::uint64_t> unparks{0};
 
-  // -- submission-side helpers ---------------------------------------------
-
   void ensure_started() {
     std::call_once(start_once, [this] {
       for (unsigned i = 0; i < worker_count; ++i) {
-        auto w = std::make_unique<Worker>();
-        w->index = i;
-        w->pool = this;
-        slots[i].deque.store(&w->deque, std::memory_order_release);
-        workers.push_back(std::move(w));
+        workers[i].thread = std::thread([this, i] { worker_main(i); });
       }
-      std::size_t high = worker_count;
-      slot_high.store(high, std::memory_order_release);
-      for (auto& w : workers) {
-        Worker* raw = w.get();
-        raw->thread = std::thread([this, raw] { worker_main(*raw); });
-      }
-      started.store(true, std::memory_order_release);
     });
   }
 
-  Slot* register_external(WsDeque* deque) {
-    for (;;) {
-      const std::size_t limit = worker_count + kExternalSlots;
-      for (std::size_t i = worker_count; i < limit; ++i) {
-        WsDeque* expected = nullptr;
-        if (slots[i].deque.load(std::memory_order_relaxed) == nullptr &&
-            slots[i].deque.compare_exchange_strong(expected, deque,
-                                                   std::memory_order_seq_cst)) {
-          // Extend the scan horizon to cover this slot.
-          std::size_t high = slot_high.load(std::memory_order_relaxed);
-          while (high < i + 1 &&
-                 !slot_high.compare_exchange_weak(high, i + 1,
-                                                  std::memory_order_release)) {
-          }
-          return &slots[i];
-        }
-      }
-      // More concurrent external submitters than slots: rare and harmless —
-      // wait for one to finish.
-      std::this_thread::yield();
-    }
-  }
-
-  void unregister_external(Slot* slot) {
-    slot->deque.store(nullptr, std::memory_order_seq_cst);
-    while (slot->pins.load(std::memory_order_seq_cst) != 0) cpu_relax();
-  }
-
-  // -- stealing -------------------------------------------------------------
-
-  TileTask* steal_from(Slot& slot, const WsDeque* self) {
-    slot.pins.fetch_add(1, std::memory_order_seq_cst);
-    WsDeque* d = slot.deque.load(std::memory_order_seq_cst);
-    TileTask* task = (d != nullptr && d != self) ? d->steal() : nullptr;
-    slot.pins.fetch_sub(1, std::memory_order_seq_cst);
-    return task;
-  }
-
-  TileTask* try_steal(const WsDeque* self, std::uint64_t& rng) {
-    const std::size_t high = slot_high.load(std::memory_order_acquire);
-    if (high == 0) return nullptr;
-    const std::size_t start = static_cast<std::size_t>(next_rand(rng)) % high;
-    for (std::size_t k = 0; k < high; ++k) {
-      if (TileTask* t = steal_from(slots[(start + k) % high], self)) return t;
+  /// Claims an unclaimed tile from the oldest open region that has one.
+  /// Caller holds `mutex`, which keeps every listed region alive.
+  Region* claim(std::size_t& tile) {
+    for (Region* r : open) {
+      if (!r->claimable()) continue;
+      tile = r->next.fetch_add(1, std::memory_order_relaxed);
+      if (tile < r->tiles) return r;
     }
     return nullptr;
   }
 
-  bool any_work() {
-    const std::size_t high = slot_high.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < high; ++i) {
-      Slot& s = slots[i];
-      s.pins.fetch_add(1, std::memory_order_seq_cst);
-      WsDeque* d = s.deque.load(std::memory_order_seq_cst);
-      const bool nonempty = d != nullptr && !d->looks_empty();
-      s.pins.fetch_sub(1, std::memory_order_seq_cst);
-      if (nonempty) return true;
-    }
-    return false;
-  }
-
-  // -- execution ------------------------------------------------------------
-
-  void run_task(TileTask* task, Worker* self, bool stolen) {
-    Region* r = task->region;
-    if (stolen) {
-      steals.fetch_add(1, std::memory_order_relaxed);
-      r->steals.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!r->failed.load(std::memory_order_acquire)) {
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        (*r->body)(task->begin, task->end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(r->mutex);
-        if (!r->failed.load(std::memory_order_relaxed)) {
-          r->error = std::current_exception();
-          r->failed.store(true, std::memory_order_release);
-        }
+  /// Runs claimed tile `tile` of `r`, then keeps claiming until the counter
+  /// runs dry.  The next claim is made, and checked against r.tiles, before
+  /// the current tile is retired: once this thread retires a tile without
+  /// holding another claim, `r` may be gone.  Returns true when this call
+  /// retired the region's last tile.
+  bool run_tiles(Region& r, std::size_t tile, bool helper) {
+    for (;;) {
+      r.run_tile(tile);
+      tasks_executed.fetch_add(1, std::memory_order_relaxed);
+      if (helper) {
+        steals.fetch_add(1, std::memory_order_relaxed);
+        r.steals.fetch_add(1, std::memory_order_relaxed);
       }
-      if (self != nullptr) {
-        const auto t1 = std::chrono::steady_clock::now();
-        self->busy_ns.fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()),
-            std::memory_order_relaxed);
-      }
-    }
-    tasks_executed.fetch_add(1, std::memory_order_relaxed);
-    if (r->unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last tile: rendezvous through the mutex so a submitter that checked
-      // completed() and decided to sleep cannot miss this notify.  The
-      // submitter does not return until finished() is true, so the region
-      // (mutex + condvar) stays alive through the notify; the finished_
-      // store is our very last access and releases it for destruction.
-      {
-        std::lock_guard<std::mutex> lock(r->mutex);
-        r->done.notify_all();
-      }
-      r->finished_.store(true, std::memory_order_release);
+      const std::size_t next = r.next.fetch_add(1, std::memory_order_relaxed);
+      const bool more = next < r.tiles;
+      if (r.unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) return true;
+      if (!more) return false;
+      tile = next;
     }
   }
-
-  // -- worker loop ----------------------------------------------------------
 
   void pin_worker(unsigned index) {
 #if defined(__linux__)
@@ -403,118 +172,68 @@ struct CorePool::Impl {
 #endif
   }
 
-  void worker_main(Worker& w) {
-    tls_pool = this;
-    tls_worker = &w;
-    if (pin) pin_worker(w.index);
-    std::uint64_t rng = 0x9e3779b97f4a7c15ull ^ (w.index + 1);
-    while (!shutdown.load(std::memory_order_acquire)) {
-      TileTask* task = w.deque.pop();
-      bool stolen = false;
-      if (task == nullptr) {
-        task = try_steal(&w.deque, rng);
-        stolen = task != nullptr;
-      }
-      if (task != nullptr) {
-        run_task(task, &w, stolen);
+  void worker_main(unsigned index) {
+    if (pin) pin_worker(index);
+    Worker& self = workers[index];
+    std::unique_lock<std::mutex> lock(mutex);
+    while (!shutdown) {
+      std::size_t tile = 0;
+      if (Region* r = claim(tile)) {
+        lock.unlock();
+        const auto t0 = std::chrono::steady_clock::now();
+        const bool last = run_tiles(*r, tile, /*helper=*/true);
+        self.busy_ns.fetch_add(
+            static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                           std::chrono::steady_clock::now() - t0)
+                                           .count()),
+            std::memory_order_relaxed);
+        lock.lock();
+        // The submitter checks completed() under this mutex before it
+        // sleeps, so a notify made while holding it cannot be lost.
+        if (last) done_cv.notify_all();
         continue;
       }
-      // Idle: bounded spin with periodic steal probes, then park.
-      bool found = false;
-      for (std::size_t i = 0; i < config.spin_iterations; ++i) {
+      // Idle: spin until the next region is published, then sleep until it
+      // is.  Regions are published under the mutex this wait releases, so
+      // no wakeup can slip between the check and the sleep.
+      const std::uint64_t seen = published.load(std::memory_order_relaxed);
+      lock.unlock();
+      for (std::size_t i = 0;
+           i < kSpinIterations && published.load(std::memory_order_relaxed) == seen; ++i) {
         cpu_relax();
-        if ((i & 63u) == 63u) {
-          if ((task = try_steal(&w.deque, rng)) != nullptr) {
-            found = true;
-            break;
-          }
-          if (shutdown.load(std::memory_order_acquire)) break;
-        }
       }
-      if (found) {
-        run_task(task, &w, /*stolen=*/true);
-        continue;
+      lock.lock();
+      if (published.load(std::memory_order_relaxed) == seen && !shutdown) {
+        ++sleepers;
+        parks.fetch_add(1, std::memory_order_relaxed);
+        work_cv.wait(lock, [&] {
+          return published.load(std::memory_order_relaxed) != seen || shutdown;
+        });
+        --sleepers;
       }
-      park();
-    }
-  }
-
-  void park() {
-    std::unique_lock<std::mutex> lock(park_mutex);
-    const std::uint64_t epoch = park_epoch;
-    lock.unlock();
-    sleepers.fetch_add(1, std::memory_order_seq_cst);
-    // Pairs with the fence in wake_workers(): orders the sleepers increment
-    // before the any_work() scan in the seq_cst total order.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // Re-check after announcing ourselves: a submitter that pushed before
-    // seeing sleepers > 0 left its tasks visible here.
-    if (any_work() || shutdown.load(std::memory_order_seq_cst)) {
-      sleepers.fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-    parks.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
-    park_cv.wait(lock, [&] {
-      return park_epoch != epoch || shutdown.load(std::memory_order_relaxed);
-    });
-    lock.unlock();
-    sleepers.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  void wake_workers(unsigned want) {
-    if (want == 0) return;
-    // Dekker handshake with park(): the task pushes above us are relaxed
-    // bottom_ stores behind a release fence, which the parker's acquire
-    // loads in any_work() can miss while we simultaneously miss its
-    // sleepers increment (store-buffer litmus).  This fence pairs with the
-    // seq_cst fetch_add in park() so one side must see the other: either
-    // we observe sleepers > 0, or the parker observes our tasks.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (sleepers.load(std::memory_order_seq_cst) == 0) return;
-    {
-      std::lock_guard<std::mutex> lock(park_mutex);
-      ++park_epoch;
-    }
-    unparks.fetch_add(want, std::memory_order_relaxed);
-    if (want >= worker_count) {
-      park_cv.notify_all();
-    } else {
-      for (unsigned i = 0; i < want; ++i) park_cv.notify_one();
     }
   }
 };
 
 // ---------------------------------------------------------------------------
 
-thread_local CorePool::Impl* CorePool::Impl::tls_pool = nullptr;
-thread_local CorePool::Impl::Worker* CorePool::Impl::tls_worker = nullptr;
-
-CorePool::CorePool(Config config) : impl_(std::make_unique<Impl>()) {
-  impl_->config = config;
-  impl_->worker_count =
-      config.workers == 0 ? default_worker_count() : std::max(1u, config.workers);
-  impl_->pin = config.pin < 0 ? pinning_enabled() : config.pin != 0;
-  impl_->slots =
-      std::vector<Impl::Slot>(impl_->worker_count + Impl::kExternalSlots);
-}
+CorePool::CorePool(Config config)
+    : impl_(std::make_unique<Impl>(config.workers == 0 ? default_worker_count()
+                                                       : config.workers)) {}
 
 CorePool::~CorePool() {
+  Impl& impl = *impl_;
   {
-    // Refuse new regions, then wait for in-flight ones: their tasks point
-    // into stacks we are about to stop servicing.
-    std::unique_lock<std::mutex> lock(impl_->region_mutex);
-    impl_->draining = true;
-    impl_->regions_done.wait(lock, [&] { return impl_->active_regions == 0; });
+    // Refuse new regions, then wait for in-flight ones: their submitters
+    // still use the pool's mutex and condvars.
+    std::unique_lock<std::mutex> lock(impl.mutex);
+    impl.draining = true;
+    impl.done_cv.wait(lock, [&] { return impl.open.empty(); });
+    impl.shutdown = true;
   }
-  impl_->shutdown.store(true, std::memory_order_seq_cst);
-  {
-    std::lock_guard<std::mutex> lock(impl_->park_mutex);
-    ++impl_->park_epoch;
-  }
-  impl_->park_cv.notify_all();
-  for (auto& w : impl_->workers) {
-    if (w->thread.joinable()) w->thread.join();
+  impl.work_cv.notify_all();
+  for (Impl::Worker& w : impl.workers) {
+    if (w.thread.joinable()) w.thread.join();
   }
 }
 
@@ -545,81 +264,42 @@ SchedulerStats CorePool::parallel_for(
 
   Impl& impl = *impl_;
   impl.ensure_started();
-  {
-    std::lock_guard<std::mutex> lock(impl.region_mutex);
-    OBX_CHECK(!impl.draining, "CorePool is shutting down");
-    ++impl.active_regions;
-  }
 
   Region region;
   region.body = &body;
-  region.tiles.reserve(tiles);
-  for (std::size_t base = 0; base < count; base += g) {
-    region.tiles.push_back(TileTask{&region, base, std::min(base + g, count)});
-  }
-  region.unfinished.store(region.tiles.size(), std::memory_order_relaxed);
+  region.count = count;
+  region.grain = g;
+  region.tiles = tiles;
+  region.unfinished.store(tiles, std::memory_order_relaxed);
 
-  // Home deque: a worker submits into its own; an external thread registers
-  // a stack-local deque as a steal victim for the duration of the region.
-  const bool nested = Impl::tls_pool == &impl && Impl::tls_worker != nullptr;
-  Impl::Worker* self = nested ? Impl::tls_worker : nullptr;
-  WsDeque* home = nullptr;
-  WsDeque local;
-  Impl::Slot* slot = nullptr;
-  if (nested) {
-    home = &self->deque;
-  } else {
-    home = &local;
-    slot = impl.register_external(&local);
-  }
-  for (TileTask& t : region.tiles) home->push(&t);
-  impl.wake_workers(std::min(used - 1, impl.worker_count));
-
-  // Participate: drain our own deque.  Tiles that were stolen finish on the
-  // thief; we spin briefly for them, then (external submitters only) park on
-  // the region condvar.  A worker submitter never parks — its condvar wait
-  // could deadlock the pool — it yields until the thief finishes.  The exit
-  // condition is finished(), not completed(): the final completer still
-  // locks and notifies the condvar after the count hits zero, so returning
-  // on completed() alone could destroy the stack-allocated mutex under it.
-  std::size_t spins = 0;
-  while (!region.finished()) {
-    if (TileTask* t = home->pop()) {
-      impl.run_task(t, self, /*stolen=*/false);
-      spins = 0;
-      continue;
-    }
-    if (region.finished()) break;
-    if (++spins < impl.config.spin_iterations) {
-      cpu_relax();
-      continue;
-    }
-    if (nested) {
-      std::this_thread::yield();
-      continue;
-    }
-    {
-      std::unique_lock<std::mutex> lock(region.mutex);
-      if (!region.completed()) {
-        ++stats.parks;
-        // Predicate stays completed(): finished_ is set only after the
-        // notify, so waiting on it could sleep through the one wakeup.
-        region.done.wait(lock, [&] { return region.completed(); });
-      }
-    }
-    // completed() precedes finished() by a few completer instructions
-    // (notify + unlock + store); wait them out before the region unwinds.
-    while (!region.finished()) cpu_relax();
-    break;
-  }
-
-  if (slot != nullptr) impl.unregister_external(slot);
+  unsigned wake = 0;
   {
-    std::lock_guard<std::mutex> lock(impl.region_mutex);
-    if (--impl.active_regions == 0) impl.regions_done.notify_all();
+    std::lock_guard<std::mutex> lock(impl.mutex);
+    OBX_CHECK(!impl.draining, "CorePool is shutting down");
+    impl.open.push_back(&region);
+    impl.published.fetch_add(1, std::memory_order_relaxed);
+    wake = std::min(used - 1, impl.sleepers);
+  }
+  impl.unparks.fetch_add(wake, std::memory_order_relaxed);
+  for (unsigned i = 0; i < wake; ++i) impl.work_cv.notify_one();
+
+  // Participate until the counter runs dry, then wait for the tiles other
+  // threads claimed: a short spin, then sleep on done_cv until the helper
+  // that retires the last tile notifies it.
+  const std::size_t first = region.next.fetch_add(1, std::memory_order_relaxed);
+  if (first < tiles) impl.run_tiles(region, first, /*helper=*/false);
+  for (std::size_t i = 0; i < kSpinIterations && !region.completed(); ++i) cpu_relax();
+  {
+    std::unique_lock<std::mutex> lock(impl.mutex);
+    if (!region.completed()) {
+      ++stats.parks;
+      impl.done_cv.wait(lock, [&] { return region.completed(); });
+    }
+    impl.open.erase(std::find(impl.open.begin(), impl.open.end(), &region));
+    if (impl.draining && impl.open.empty()) impl.done_cv.notify_all();
   }
 
-  stats.tasks = region.tiles.size();
+  stats.tasks = tiles;
   stats.steals = region.steals.load(std::memory_order_relaxed);
   if (region.error != nullptr) std::rethrow_exception(region.error);
   return stats;
@@ -633,13 +313,9 @@ CorePool::CountersSnapshot CorePool::counters() const {
   snap.parks = impl.parks.load(std::memory_order_relaxed);
   snap.unparks = impl.unparks.load(std::memory_order_relaxed);
   snap.pinned = impl.pin;
-  if (impl.started.load(std::memory_order_acquire)) {
-    snap.worker_busy_ns.reserve(impl.workers.size());
-    for (const auto& w : impl.workers) {
-      snap.worker_busy_ns.push_back(w->busy_ns.load(std::memory_order_relaxed));
-    }
-  } else {
-    snap.worker_busy_ns.assign(impl.worker_count, 0);
+  snap.worker_busy_ns.reserve(impl.workers.size());
+  for (const Impl::Worker& w : impl.workers) {
+    snap.worker_busy_ns.push_back(w.busy_ns.load(std::memory_order_relaxed));
   }
   return snap;
 }

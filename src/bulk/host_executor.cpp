@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "bulk/core_pool.hpp"
-#include "bulk/thread_pool.hpp"
 #include "exec/compiled_program.hpp"
 #include "exec/jit/jit_program.hpp"
 #include "trace/step.hpp"
@@ -16,7 +15,10 @@ HostBulkExecutor::HostBulkExecutor(Layout layout)
     : HostBulkExecutor(layout, Options()) {}
 
 HostBulkExecutor::HostBulkExecutor(Layout layout, Options options)
-    : layout_(layout), options_(options) {}
+    : layout_(layout), options_(options) {
+  // Resolved once, so run() and gather_outputs() agree on what 0 means.
+  if (options_.workers == 0) options_.workers = default_worker_count();
+}
 
 void HostBulkExecutor::run_chunk(const trace::Program& program, std::span<Word> memory,
                                  Lane lane_begin, Lane lane_end,
@@ -127,8 +129,7 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
   HostRunResult result;
   result.memory.assign(layout_.total_words(), Word{0});
   const std::size_t p = layout_.lanes();
-  const unsigned workers =
-      options_.workers == 0 ? default_worker_count() : options_.workers;
+  const unsigned workers = options_.workers;
   CorePool& pool = CorePool::instance();
 
   // Chunks must not split a blocked layout's block (alignment below); the
@@ -159,11 +160,12 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
     const std::size_t tile =
         exec::resolve_tile_lanes(options_.tile_lanes, compiled->register_count(),
                                  layout_, simd_width_words(isa));
-    // One pool task per lane tile (not per worker): the steal loop soaks up
-    // skewed tile costs, and grain == tile keeps the task boundaries exactly
-    // the L1-sized, W-multiple tiles the kernels already use.  For blocked
-    // layouts the tile divides the block (resolve_tile_lanes), so
-    // tile-aligned task boundaries never split a block.
+    // One pool task per lane tile (not per worker): whoever is free claims
+    // the next tile, so a ragged tail spreads across the workers, and
+    // grain == tile keeps the task boundaries exactly the L1-sized,
+    // W-multiple tiles the kernels already use.  For blocked layouts the
+    // tile divides the block (resolve_tile_lanes), so tile-aligned task
+    // boundaries never split a block.
     const auto t0 = std::chrono::steady_clock::now();
     result.sched += pool.parallel_for(
         p, align == 1 ? 1 : tile, tile, workers,
@@ -219,7 +221,7 @@ void HostBulkExecutor::gather_outputs(const trace::Program& program,
   const std::size_t ow = program.output_words;
   out.resize(p * ow);
   if (ow == 0) return;
-  parallel_for_chunks(p, options_.workers, 1, [&](std::size_t begin, std::size_t end) {
+  const auto gather = [&](std::size_t begin, std::size_t end) {
     if (layout_.arrangement() == Arrangement::kColumnWise) {
       // Two-level tiled transpose (mirror of the compiled backend's tile
       // scatter): lane sub-blocks keep the destination pages TLB-resident,
@@ -251,7 +253,9 @@ void HostBulkExecutor::gather_outputs(const trace::Program& program,
                        std::span<Word>(out).subspan(j * ow, ow));
       }
     }
-  });
+  };
+  const unsigned workers = options_.workers;
+  CorePool::instance().parallel_for(p, 1, chunk_grain(p, 1, workers), workers, gather);
 }
 
 }  // namespace obx::bulk

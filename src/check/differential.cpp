@@ -158,10 +158,10 @@ std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps) 
     configs.push_back(i);
   }
 
-  // Steal-scheduler stress: oversubscribe the CorePool (8-way) with one-lane
-  // tiles so nearly every task crosses the work-stealing deques, plus the
-  // interpreted engine at the same width.  Any ordering- or
-  // ownership-sensitivity in the steal loop shows up as a memory-image
+  // Scheduler stress: oversubscribe the CorePool (8-way) with one-lane
+  // tiles so the submitter and the workers race for every tile counter
+  // claim, plus the interpreted engine at the same width.  Any ordering- or
+  // ownership-sensitivity in tile claiming shows up as a memory-image
   // divergence from the oracle.
   if (p >= 4) {
     ExecConfig steal;

@@ -6,7 +6,7 @@
 
 #include "common/check.hpp"
 #include "bulk/bulk.hpp"
-#include "bulk/thread_pool.hpp"
+#include "bulk/core_pool.hpp"
 #include "bulk/timing_estimator.hpp"
 #include "exec/jit/jit_program.hpp"
 

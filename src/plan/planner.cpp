@@ -9,7 +9,6 @@
 #include "common/check.hpp"
 #include "bulk/bulk.hpp"
 #include "bulk/core_pool.hpp"
-#include "bulk/thread_pool.hpp"
 #include "bulk/timing_estimator.hpp"
 #include "exec/jit/jit_program.hpp"
 #include "umm/dmm.hpp"

@@ -111,7 +111,7 @@ struct MetricsSnapshot {
   std::uint64_t sched_workers = 0;   ///< pool worker threads
   bool sched_pinned = false;         ///< workers pinned one-per-core
   std::uint64_t sched_tasks = 0;     ///< lane-tile tasks executed
-  std::uint64_t sched_steals = 0;    ///< tasks run off another thread's deque
+  std::uint64_t sched_steals = 0;    ///< tasks run for another thread's region
   std::uint64_t sched_parks = 0;     ///< worker went to sleep
   std::uint64_t sched_unparks = 0;   ///< wakeups signalled by submitters
   std::vector<std::uint64_t> sched_worker_busy_ns;  ///< per worker, in tasks

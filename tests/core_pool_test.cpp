@@ -1,23 +1,24 @@
-// Stress suite for the thread-per-core work-stealing scheduler
-// (bulk::CorePool): concurrent submitters, steal-heavy skewed tile costs,
-// nested submission from inside a task, clean shutdown with tasks queued,
-// exception semantics through both the pool and the parallel_for_chunks
-// shim, and bit-identical executor output across worker counts for the
+// Stress suite for the thread-per-core scheduler (bulk::CorePool):
+// concurrent submitters, workers helping under skewed tile costs, nested
+// submission from inside a task, clean shutdown with tasks queued, exception
+// semantics, and bit-identical executor output across worker counts for the
 // whole algorithm registry × arrangements × SIMD tiers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algos/algorithm.hpp"
 #include "bulk/bulk.hpp"
 #include "bulk/core_pool.hpp"
 #include "bulk/host_executor.hpp"
-#include "bulk/thread_pool.hpp"
 #include "common/rng.hpp"
 #include "common/simd_isa.hpp"
 #include "exec/backend.hpp"
@@ -32,6 +33,18 @@ using namespace obx::bulk;
 void busy_work(std::size_t iters) {
   volatile std::uint64_t sink = 0;
   for (std::size_t i = 0; i < iters; ++i) sink = sink + i;
+}
+
+/// Polls `done` until it holds or 30 s pass; false on timeout.  The deadline
+/// only turns a scheduler hang into a test failure — no verdict depends on it.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 TEST(CorePool, CoversRangeExactlyOnce) {
@@ -64,6 +77,138 @@ TEST(CorePool, RespectsAlignmentAndGrainRounding) {
   EXPECT_EQ(covered.load(), kCount);
 }
 
+TEST(CorePool, CoversRangeExactlyOnceForEveryWorkerCount) {
+  for (const unsigned workers : {1u, 3u, 8u}) {
+    CorePool pool(CorePool::Config{.workers = workers});
+    for (const unsigned max_workers : {1u, 2u, 8u}) {
+      std::vector<std::atomic<int>> hits(100);
+      pool.parallel_for(hits.size(), 1, 1, max_workers, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << workers << " workers, max " << max_workers << ", lane " << i;
+      }
+    }
+  }
+}
+
+TEST(CorePool, RaggedTailIsTheOnlyPartialTile) {
+  // count 10 is not a multiple of align 3: grain 7 is cut to the align
+  // multiple 6, so the tiles are [0, 6) and the ragged tail [6, 10).
+  CorePool pool(CorePool::Config{.workers = 2});
+  std::mutex mu;
+  std::set<std::pair<std::size_t, std::size_t>> tiles;
+  const SchedulerStats stats =
+      pool.parallel_for(10, 3, 7, 2, [&](std::size_t begin, std::size_t end) {
+        std::lock_guard<std::mutex> lock(mu);
+        tiles.emplace(begin, end);
+      });
+  const std::set<std::pair<std::size_t, std::size_t>> expected{{0, 6}, {6, 10}};
+  EXPECT_EQ(tiles, expected);
+  EXPECT_EQ(stats.tasks, 2u);
+}
+
+TEST(CorePool, SingleTileRunsInline) {
+  // count <= grain, and a count below one align block, each make a single
+  // tile: it runs on the caller without starting the workers.
+  CorePool pool(CorePool::Config{.workers = 4});
+  const std::thread::id caller = std::this_thread::get_id();
+  struct Case {
+    std::size_t count, align, grain, end;
+  };
+  for (const Case c : {Case{100, 1, 100, 100}, Case{100, 1, 500, 100}, Case{5, 8, 1, 5}}) {
+    std::size_t calls = 0;
+    const SchedulerStats stats =
+        pool.parallel_for(c.count, c.align, c.grain, 4, [&](std::size_t begin, std::size_t end) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          EXPECT_EQ(begin, 0u);
+          EXPECT_EQ(end, c.end);
+          ++calls;
+        });
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(stats.tasks, 1u);
+    EXPECT_EQ(stats.steals, 0u);
+  }
+  EXPECT_EQ(pool.counters().tasks, 0u);
+}
+
+TEST(CorePool, StealsCountExactlyTheTilesRunOffTheSubmitter) {
+  CorePool pool(CorePool::Config{.workers = 3});
+  constexpr std::size_t kTiles = 256;
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::vector<std::atomic<bool>> off_submitter(kTiles);
+  const SchedulerStats stats =
+      pool.parallel_for(kTiles, 1, 1, 4, [&](std::size_t begin, std::size_t) {
+        busy_work(2000);
+        off_submitter[begin].store(std::this_thread::get_id() != submitter,
+                                   std::memory_order_relaxed);
+      });
+  std::uint64_t off = 0;
+  for (const auto& o : off_submitter) off += o.load(std::memory_order_relaxed) ? 1u : 0u;
+  EXPECT_EQ(stats.tasks, kTiles);
+  EXPECT_EQ(stats.steals, off);
+  // A fresh pool's lifetime counters are this one region's.
+  const CorePool::CountersSnapshot c = pool.counters();
+  EXPECT_EQ(c.tasks, kTiles);
+  EXPECT_EQ(c.steals, off);
+}
+
+TEST(CorePool, ErrorThrownOnAWorkerIsRethrownOnTheSubmitter) {
+  CorePool pool(CorePool::Config{.workers = 2});
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::atomic<bool> worker_threw{false};
+  bool gate_timed_out = false;
+  try {
+    pool.parallel_for(64, 1, 1, 3, [&](std::size_t begin, std::size_t) {
+      if (std::this_thread::get_id() != submitter) {
+        worker_threw.store(true, std::memory_order_release);
+        throw std::runtime_error("worker tile failed");
+      }
+      // Only workers throw: the submitter's first tile holds the region open
+      // until one of them has.
+      if (begin == 0) {
+        gate_timed_out = !wait_until([&] { return worker_threw.load(std::memory_order_acquire); });
+      }
+    });
+    FAIL() << "expected the worker's exception to be rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "worker tile failed");
+  }
+  EXPECT_FALSE(gate_timed_out);
+}
+
+TEST(CorePool, WakesASleepingWorkerForEveryNewRegion) {
+  // One worker.  Before each region the test waits until the worker sleeps
+  // on the pool condvar; the region then cannot finish its first tile until
+  // the worker has run another one.  A lost wakeup leaves the worker asleep
+  // and the gate times out.
+  CorePool pool(CorePool::Config{.workers = 1});
+  pool.parallel_for(2, 1, 1, 2, [](std::size_t, std::size_t) {});  // starts the worker
+  // Every park but the current one was ended by exactly one region published
+  // while the worker slept, each counted in `unparks`; so, with this test the
+  // only submitter, the worker is asleep iff parks > unparks.
+  const auto asleep = [&] {
+    const CorePool::CountersSnapshot c = pool.counters();
+    return c.parks > c.unparks;
+  };
+  const std::uint64_t unparks_before = pool.counters().unparks;
+  const std::thread::id submitter = std::this_thread::get_id();
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(wait_until(asleep)) << "round " << round << ": worker never went to sleep";
+    std::atomic<bool> helped{false};
+    bool gate_timed_out = false;
+    pool.parallel_for(4, 1, 1, 2, [&](std::size_t begin, std::size_t) {
+      if (std::this_thread::get_id() != submitter) helped.store(true, std::memory_order_release);
+      if (begin == 0) {
+        gate_timed_out = !wait_until([&] { return helped.load(std::memory_order_acquire); });
+      }
+    });
+    ASSERT_FALSE(gate_timed_out) << "round " << round << ": the sleeping worker was not woken";
+  }
+  EXPECT_EQ(pool.counters().unparks - unparks_before, static_cast<std::uint64_t>(kRounds));
+}
+
 TEST(CorePool, ConcurrentSubmittersEachCoverTheirOwnRange) {
   CorePool pool(CorePool::Config{.workers = 4});
   constexpr std::size_t kSubmitters = 6;
@@ -93,27 +238,31 @@ TEST(CorePool, ConcurrentSubmittersEachCoverTheirOwnRange) {
 TEST(CorePool, StealsUnderSkewedTileCosts) {
   CorePool pool(CorePool::Config{.workers = 4});
   // 512 one-lane tiles with wildly skewed costs: a static partition would
-  // leave the expensive tail on one thread; the steal loop must spread it.
+  // leave the expensive tail on one thread; woken workers must claim tiles
+  // off the region's counter and spread it.
   constexpr std::size_t kTiles = 512;
   std::vector<std::atomic<int>> hits(kTiles);
-  SchedulerStats total;
-  // With 4 workers woken against a deque of 512 slow tiles, tiles must get
-  // stolen off the submitter's deque.  Retry bounded rounds rather than
-  // asserting on one: on a heavily loaded (or single-CPU) host the OS may
-  // give the submitter a long uninterrupted slice.
-  int rounds = 0;
-  while (total.steals == 0 && rounds < 20) {
-    ++rounds;
-    total += pool.parallel_for(kTiles, 1, 1, 4, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        busy_work((i % 64) * 300);
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::size_t i = 0; i < kTiles; ++i) ASSERT_EQ(hits[i].load(), rounds);
-  EXPECT_EQ(total.tasks, static_cast<std::uint64_t>(rounds) * kTiles);
-  EXPECT_GT(total.steals, 0u);
+  // Gate, so the verdict does not depend on host load: tile 0 does not
+  // finish until some tile has run on a thread other than the submitter.
+  // Had the submitter kept every tile to itself, it would wait here forever.
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::atomic<bool> helped{false};
+  const SchedulerStats stats =
+      pool.parallel_for(kTiles, 1, 1, 4, [&](std::size_t begin, std::size_t end) {
+        if (std::this_thread::get_id() != submitter) {
+          helped.store(true, std::memory_order_release);
+        }
+        if (begin == 0) {
+          while (!helped.load(std::memory_order_acquire)) std::this_thread::yield();
+        }
+        for (std::size_t i = begin; i < end; ++i) {
+          busy_work((i % 64) * 300);
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+  for (std::size_t i = 0; i < kTiles; ++i) ASSERT_EQ(hits[i].load(), 1);
+  EXPECT_EQ(stats.tasks, kTiles);
+  EXPECT_GT(stats.steals, 0u);
   EXPECT_GT(pool.counters().steals, 0u);
 }
 
@@ -177,21 +326,6 @@ TEST(CorePool, FirstErrorRethrownAndRemainingTilesSkipped) {
   EXPECT_LE(executed.load(), 256);
 }
 
-TEST(CorePool, ShimPropagatesWorkerExceptionsAcrossManyChunks) {
-  // Regression for the thread_pool -> CorePool migration: the shim must
-  // keep first-error-rethrown-on-caller semantics for multi-chunk regions.
-  std::atomic<int> executed{0};
-  EXPECT_THROW(
-      parallel_for_chunks(1024, 8, 1,
-                          [&](std::size_t begin, std::size_t end) {
-                            executed.fetch_add(1, std::memory_order_relaxed);
-                            if (begin >= 512) throw std::invalid_argument("late chunk");
-                            (void)end;
-                          }),
-      std::invalid_argument);
-  EXPECT_GE(executed.load(), 1);
-}
-
 TEST(CorePool, NestedErrorDoesNotPoisonOuterRegion) {
   CorePool pool(CorePool::Config{.workers = 3});
   std::atomic<int> outer_done{0};
@@ -242,6 +376,15 @@ TEST(CorePool, CountersTrackWorkAndTopology) {
   EXPECT_EQ(c.worker_busy_ns.size(), 2u);
 }
 
+TEST(CorePool, ZeroCountIsNoop) {
+  CorePool pool(CorePool::Config{.workers = 4});
+  bool called = false;
+  const SchedulerStats stats =
+      pool.parallel_for(0, 1, 1, 4, [&](std::size_t, std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+  EXPECT_EQ(stats.tasks, 0u);
+}
+
 TEST(CorePool, MoreWorkersRequestedThanTilesIsFine) {
   CorePool pool(CorePool::Config{.workers = 2});
   std::atomic<std::size_t> sum{0};
@@ -252,8 +395,9 @@ TEST(CorePool, MoreWorkersRequestedThanTilesIsFine) {
 }
 
 TEST(CorePool, ManyShortLivedExternalSubmitters) {
-  // Slot-registry churn: every submission from a fresh thread registers and
-  // unregisters a stack deque; pins must never dangle.
+  // Region-list churn: every submission from a fresh thread publishes a
+  // stack-allocated region and takes it off the list again; no worker may
+  // touch a region after its submitter returned.
   CorePool pool(CorePool::Config{.workers = 2});
   std::atomic<std::size_t> sum{0};
   for (int round = 0; round < 10; ++round) {
@@ -318,6 +462,35 @@ TEST(CorePoolDefaults, DefaultWorkerCountIsPositiveAndAffinityBounded) {
   // Latched: repeated calls agree (the pool sizes itself from this).
   EXPECT_EQ(default_worker_count(), n);
   EXPECT_LE(n, 1024u);
+}
+
+TEST(CorePoolDefaults, ZeroWorkersMeansDefaultWorkerCount) {
+  const CorePool pool(CorePool::Config{.workers = 0});
+  EXPECT_EQ(pool.worker_count(), default_worker_count());
+  EXPECT_EQ(pool.counters().worker_busy_ns.size(), default_worker_count());
+  EXPECT_EQ(CorePool::instance().worker_count(), default_worker_count());
+  // Pinning is no longer configurable: every pool follows the platform policy.
+  EXPECT_EQ(pool.pinning(), CorePool::pinning_enabled());
+  EXPECT_EQ(pool.counters().pinned, CorePool::pinning_enabled());
+}
+
+TEST(CorePoolDefaults, ChunkGrainGivesFourToEightAlignedTilesPerWorker) {
+  for (const std::size_t align : {1u, 8u, 64u}) {
+    for (const unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
+      const std::size_t count = 4096 * align;
+      const std::size_t grain = chunk_grain(count, align, workers);
+      ASSERT_GT(grain, 0u);
+      EXPECT_EQ(grain % align, 0u) << "align " << align << " workers " << workers;
+      const std::size_t tiles = (count + grain - 1) / grain;
+      EXPECT_GE(tiles, 4u * workers) << "align " << align << " workers " << workers;
+      EXPECT_LE(tiles, 8u * workers) << "align " << align << " workers " << workers;
+    }
+  }
+  // Fewer lanes than one align block per tile still give a positive
+  // align-multiple; align 0 and workers 0 are read as 1.
+  EXPECT_EQ(chunk_grain(10, 8, 4), 8u);
+  EXPECT_EQ(chunk_grain(0, 1, 4), 1u);
+  EXPECT_EQ(chunk_grain(100, 0, 0), 25u);
 }
 
 }  // namespace

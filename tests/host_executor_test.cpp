@@ -2,11 +2,13 @@
 // every arrangement, every algorithm, and with multi-threaded chunking.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include "algos/algorithm.hpp"
 #include "bulk/bulk.hpp"
+#include "bulk/core_pool.hpp"
 #include "bulk/host_executor.hpp"
 #include "common/rng.hpp"
 #include "trace/interpreter.hpp"
@@ -109,6 +111,39 @@ TEST(HostExecutor, BlockedChunksAlignToBlocks) {
   const HostBulkExecutor multi(layout, HostBulkExecutor::Options{.workers = 5});
   const HostBulkExecutor single(layout, HostBulkExecutor::Options{.workers = 1});
   EXPECT_EQ(multi.run(program, inputs).memory, single.run(program, inputs).memory);
+}
+
+TEST(HostExecutor, AutoWorkersGatherUsesThePool) {
+  // workers = 0 means "auto" in run() and gather_outputs() alike: a gather at
+  // p = 4096 spreads its lane chunks over the shared CorePool instead of
+  // running inline on the caller.
+  if (default_worker_count() == 1) GTEST_SKIP() << "one CPU: auto is inline";
+  const trace::Program program = algos::find("prefix-sums").make_program(8);
+  const std::size_t p = 4096;
+  const Layout layout = Layout::column_wise(p, program.memory_words);
+  const HostBulkExecutor exec(layout, HostBulkExecutor::Options{.workers = 0});
+  const std::vector<Word> memory(layout.total_words(), Word{1});
+  const std::uint64_t before = CorePool::instance().counters().tasks;
+  const std::vector<Word> out = exec.gather_outputs(program, memory);
+  EXPECT_GT(CorePool::instance().counters().tasks, before);
+  EXPECT_EQ(out, std::vector<Word>(p * program.output_words, Word{1}));
+}
+
+TEST(HostExecutor, AutoWorkersMatchInlineRunAndGather) {
+  const algos::Algorithm& algo = algos::find("prefix-sums");
+  const std::size_t n = 16;
+  const std::size_t p = 1000;
+  const trace::Program program = algo.make_program(n);
+  Rng rng(9);
+  const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
+
+  const Layout layout = Layout::column_wise(p, program.memory_words);
+  const HostBulkExecutor autos(layout, HostBulkExecutor::Options{.workers = 0});
+  const HostBulkExecutor inline_exec(layout, HostBulkExecutor::Options{.workers = 1});
+  const auto a = autos.run(program, inputs);
+  const auto b = inline_exec.run(program, inputs);
+  ASSERT_EQ(a.memory, b.memory);
+  EXPECT_EQ(autos.gather_outputs(program, a.memory), inline_exec.gather_outputs(program, b.memory));
 }
 
 TEST(HostExecutor, RejectsMismatchedSizes) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -353,24 +355,52 @@ TEST(NetLoopback, ParkedSubmitterDisconnectDoesNotLeakConnectionSlot) {
   service_options.batcher.max_batch_lanes = 1;  // one job per batch
   service_options.batcher.max_batch_delay = 100us;
   service_options.executors = 1;
+  // Gate: the executor holds its first batch until a submit has parked, so
+  // the queue stays full however fast the host runs the batches.
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  service_options.before_execute = [&](const serve::Batch&) {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return gate_open; });
+  };
   serve::BulkService service(service_options);
   const algos::Algorithm& algo = algos::find("prefix-sums");
-  constexpr std::size_t kN = 1024;  // slow enough that the executor lags
+  constexpr std::size_t kN = 64;
   service.register_program("slow", algo.make_program(kN));
   net::ServerOptions server_options;
   server_options.max_connections = 4;
   net::Server server(service, server_options);
 
   Rng rng(77);
-  // More abusive rounds than slots: any leak fills the table.
-  for (int round = 0; round < 6; ++round) {
-    net::Client client(server.host(), server.port());
-    ASSERT_TRUE(client.connected()) << client.error();
-    for (int i = 0; i < 16; ++i) {
-      client.submit_async("slow", algo.make_input(kN, rng));
+  // More abusive rounds than slots: any leak fills the table.  A lambda, so
+  // a failed assertion in it still reaches the gate below (a held executor
+  // would hang the service's destructor).
+  [&] {
+    for (int round = 0; round < 6; ++round) {
+      net::Client client(server.host(), server.port());
+      ASSERT_TRUE(client.connected()) << client.error();
+      for (int i = 0; i < 16; ++i) {
+        client.submit_async("slow", algo.make_input(kN, rng));
+      }
+      client.close();  // burst + EOF arrive in one readable pass
     }
-    client.close();  // burst + EOF arrive in one readable pass
+  }();
+  // The held executor, the batch queue, the batcher and the one-slot
+  // admission queue absorb at most five of the first round's 16 submits, so
+  // a submit parks whatever the timing; open the gate once it has.
+  const auto park_deadline = std::chrono::steady_clock::now() + 30s;
+  while (server.stats().would_block == 0 &&
+         std::chrono::steady_clock::now() < park_deadline) {
+    std::this_thread::sleep_for(1ms);
   }
+  EXPECT_GT(server.stats().would_block, 0u)
+      << "no submit ever parked; the scenario under test did not fire";
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
   // Every abusive connection must be reaped once its writes fail or its
   // hangup is observed; a zombie keeps connections_active pinned above 0.
   const auto deadline = std::chrono::steady_clock::now() + 5s;
@@ -380,8 +410,6 @@ TEST(NetLoopback, ParkedSubmitterDisconnectDoesNotLeakConnectionSlot) {
   }
   EXPECT_EQ(server.stats().connections_active, 0u)
       << "closing parked connections were never reaped";
-  EXPECT_GT(server.stats().would_block, 0u)
-      << "no submit ever parked; the scenario under test did not fire";
 
   // The server still has all its slots: a fresh client is served normally.
   net::Client fresh(server.host(), server.port());
