@@ -86,31 +86,44 @@ BENCHMARK(BM_HostExecutor)
 
 void BM_Fig11Backend(benchmark::State& state) {
   // The acceptance workload: Fig. 11 prefix sums at n = 1024, p = 4096 on a
-  // single worker, full run() (scatter + lockstep), interpreted vs compiled
-  // vs jit.  The label reports the backend that actually ran, so on hosts
-  // where emission is unsupported the jit row is visibly the compiled
-  // fallback rather than a silently mislabelled number.
+  // single worker, interpreted vs compiled vs jit (first arg).  The second
+  // arg picks the path: 0 = the image path, run() (allocation, scatter,
+  // lockstep and the write-back of the whole arranged image); 1 = the output
+  // path, run_outputs(), which copies each tile's output rows straight out
+  // and builds no image.  The label reports the backend that actually ran,
+  // so on hosts where emission is unsupported the jit row is visibly the
+  // compiled fallback rather than a silently mislabelled number.
   const std::size_t n = 1024;
   const std::size_t p = 4096;
   const exec::Backend backend = state.range(0) == 2   ? exec::Backend::kJit
                                 : state.range(0) == 1 ? exec::Backend::kCompiled
                                                       : exec::Backend::kInterpreted;
+  const bool output_path = state.range(1) != 0;
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
   const bulk::HostBulkExecutor executor(
       bulk::Layout::column_wise(p, n),
       bulk::HostBulkExecutor::Options{.workers = 1, .backend = backend});
   exec::Backend resolved = backend;
+  std::vector<Word> outputs;
   for (auto _ : state) {
-    auto run = executor.run(program, inputs);
+    auto run = output_path ? executor.run_outputs(program, inputs, outputs)
+                           : executor.run(program, inputs);
     resolved = run.backend;
     benchmark::DoNotOptimize(run.memory.data());
+    benchmark::DoNotOptimize(outputs.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p * program.profile().total()));
-  state.SetLabel(to_string(resolved));
+  state.SetLabel(to_string(resolved) + (output_path ? "/outputs" : "/image"));
 }
-BENCHMARK(BM_Fig11Backend)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fig11Backend)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->Args({1, 1})
+    ->Args({2, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DispatchOverhead(benchmark::State& state) {
   // Dispatch cost in isolation: prefix sums at n = 64 over a single lane

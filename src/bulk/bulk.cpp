@@ -26,10 +26,9 @@ BulkOutputs run_bulk(const trace::Program& program, std::span<const Word> inputs
                      std::size_t arrangement_param) {
   HostBulkExecutor exec(make_layout(program, p, arrangement, arrangement_param),
                         HostBulkExecutor::Options{.workers = workers});
-  const HostRunResult run = exec.run(program, inputs);
   BulkOutputs out;
   out.words_per_output = program.output_words;
-  out.flat = exec.gather_outputs(program, run.memory);
+  exec.run_outputs(program, inputs, out.flat);
   return out;
 }
 

@@ -8,7 +8,7 @@
 // process, pinned one-per-core where the platform allows, and sleep on the
 // pool condvar (after a bounded spin) when idle.
 //
-// A bulk run is cut into lane tiles — the same L1-sized, vector-width-
+// A bulk run is cut into lane tiles — the same cache-sized, vector-width-
 // multiple tiles exec::resolve_tile_lanes computes.  Each parallel_for
 // region goes on one pool-wide list of open regions and hands its tiles out
 // from a single atomic counter: the submitter and every worker that joins

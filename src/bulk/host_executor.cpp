@@ -119,6 +119,18 @@ void HostBulkExecutor::run_chunk(const trace::Program& program, std::span<Word> 
 
 HostRunResult HostBulkExecutor::run(const trace::Program& program,
                                     std::span<const Word> inputs) const {
+  return execute(program, inputs, nullptr);
+}
+
+HostRunResult HostBulkExecutor::run_outputs(const trace::Program& program,
+                                            std::span<const Word> inputs,
+                                            std::vector<Word>& outputs) const {
+  return execute(program, inputs, &outputs);
+}
+
+HostRunResult HostBulkExecutor::execute(const trace::Program& program,
+                                        std::span<const Word> inputs,
+                                        std::vector<Word>* outputs) const {
   OBX_CHECK(program.stream != nullptr, "program has no stream factory");
   OBX_CHECK(program.memory_words == layout_.words_per_input(),
             "layout sized for a different program");
@@ -127,15 +139,9 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
   OBX_CHECK(program.register_count <= 256, "register file limited to 256");
 
   HostRunResult result;
-  result.memory.assign(layout_.total_words(), Word{0});
   const std::size_t p = layout_.lanes();
   const unsigned workers = options_.workers;
   CorePool& pool = CorePool::instance();
-
-  // Chunks must not split a blocked layout's block (alignment below); the
-  // first chunk also reports the per-input step counts.
-  const std::size_t align =
-      layout_.arrangement() == Arrangement::kBlocked ? layout_.block() : 1;
 
   std::shared_ptr<const exec::CompiledProgram> compiled;
   if (options_.backend != exec::Backend::kInterpreted) {
@@ -160,22 +166,29 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
     const std::size_t tile =
         exec::resolve_tile_lanes(options_.tile_lanes, compiled->register_count(),
                                  layout_, simd_width_words(isa));
+    // The output path never builds the arranged image: each tile copies its
+    // output rows straight into `outputs`.
+    exec::TileSink sink;
+    if (outputs != nullptr) {
+      outputs->resize(p * program.output_words);
+      sink = exec::TileSink::outputs(*outputs, program.output_offset, program.output_words);
+    } else {
+      result.memory.assign(layout_.total_words(), Word{0});
+      sink = exec::TileSink::image(layout_, result.memory);
+    }
     // One pool task per lane tile (not per worker): whoever is free claims
     // the next tile, so a ragged tail spreads across the workers, and
-    // grain == tile keeps the task boundaries exactly the L1-sized,
-    // W-multiple tiles the kernels already use.  For blocked layouts the
-    // tile divides the block (resolve_tile_lanes), so tile-aligned task
-    // boundaries never split a block.
+    // grain == tile keeps the task boundaries exactly the cache-sized,
+    // W-multiple tiles the kernels already use.
     const auto t0 = std::chrono::steady_clock::now();
     result.sched += pool.parallel_for(
-        p, align == 1 ? 1 : tile, tile, workers,
-        [&](std::size_t begin, std::size_t end) {
+        p, 1, tile, workers, [&](std::size_t begin, std::size_t end) {
           if (jitted != nullptr) {
-            exec::run_jit_chunk(*jitted, layout_, inputs, program.input_words,
-                                result.memory, begin, end, tile);
+            exec::run_jit_chunk(*jitted, inputs, program.input_words, sink, begin, end,
+                                tile);
           } else {
-            exec::run_compiled_chunk(*compiled, layout_, inputs, program.input_words,
-                                     result.memory, begin, end, tile, isa);
+            exec::run_compiled_chunk(*compiled, inputs, program.input_words, sink, begin,
+                                     end, tile, isa);
           }
         });
     const auto t1 = std::chrono::steady_clock::now();
@@ -183,7 +196,11 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
     return result;
   }
   result.simd = active_simd_isa();  // what trace::bulk_alu will dispatch to
+  result.memory.assign(layout_.total_words(), Word{0});
 
+  // The clock covers scatter + lockstep, as on the compiled engines (whose
+  // scatter happens per tile).
+  const auto t0 = std::chrono::steady_clock::now();
   result.sched += pool.parallel_for(
       p, 1, chunk_grain(p, 1, workers), workers, [&](std::size_t begin, std::size_t end) {
         for (Lane j = begin; j < end; ++j) {
@@ -194,8 +211,10 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
 
   // Coarse chunks (~4 per worker), not per-tile: every interpreted chunk
   // re-drains the program stream, so the grain must amortise that cost.
-  // The chunk containing lane 0 reports the per-input step counts.
-  const auto t0 = std::chrono::steady_clock::now();
+  // Chunks never split a blocked layout's block; the chunk containing lane 0
+  // reports the per-input step counts.
+  const std::size_t align =
+      layout_.arrangement() == Arrangement::kBlocked ? layout_.block() : 1;
   result.sched += pool.parallel_for(
       p, align, chunk_grain(p, align, workers), workers,
       [&](std::size_t begin, std::size_t end) {
@@ -204,6 +223,7 @@ HostRunResult HostBulkExecutor::run(const trace::Program& program,
       });
   const auto t1 = std::chrono::steady_clock::now();
   result.seconds = std::chrono::duration<double>(t1 - t0).count();
+  if (outputs != nullptr) gather_outputs(program, result.memory, *outputs);
   return result;
 }
 
@@ -223,10 +243,9 @@ void HostBulkExecutor::gather_outputs(const trace::Program& program,
   if (ow == 0) return;
   const auto gather = [&](std::size_t begin, std::size_t end) {
     if (layout_.arrangement() == Arrangement::kColumnWise) {
-      // Two-level tiled transpose (mirror of the compiled backend's tile
-      // scatter): lane sub-blocks keep the destination pages TLB-resident,
-      // 8-word address tiles make each lane's write one full cacheline fed
-      // from 8 contiguous read streams.
+      // Two-level tiled transpose: lane sub-blocks keep the destination
+      // pages TLB-resident, 8-word address tiles make each lane's write one
+      // full cacheline fed from 8 contiguous read streams.
       constexpr std::size_t kSub = 256;
       constexpr std::size_t kLine = 8;
       for (std::size_t jb = begin; jb < end; jb += kSub) {

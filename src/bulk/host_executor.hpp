@@ -27,14 +27,15 @@ class ExecutionPlan;
 namespace obx::bulk {
 
 struct HostRunResult {
-  /// Final arranged global memory (p·n words), 64-byte aligned for the
-  /// vectorized kernels.  Compares equal to a plain std::vector<Word> with
-  /// the same contents (see common/aligned.hpp).
+  /// Final arranged global memory (p·n words), 64-byte aligned.  Compares
+  /// equal to a plain std::vector<Word> with the same contents (see
+  /// common/aligned.hpp).  Empty after run_outputs() on the compiled and JIT
+  /// engines, which never build the arranged image.
   aligned_vector<Word> memory;
   trace::StepCounts counts;   ///< steps in one program stream (per input)
-  /// Wall-clock of the lockstep loop.  The interpreted backend scatters
-  /// before the clock starts; the compiled backend scatters tile-by-tile
-  /// inside it, so its seconds include scatter.
+  /// Wall-clock of scatter + lockstep + tile epilogue, on every engine.
+  /// Allocating and zero-filling the arranged image is excluded, and so is
+  /// the interpreted output path's gather.
   double seconds = 0.0;
   /// Engine that actually ran: kJit when emitted zero-dispatch code executed,
   /// kCompiled when the switch backend did (requested, or JIT emission
@@ -68,7 +69,7 @@ class HostBulkExecutor {
     /// zero dispatch) when the platform and OBX_JIT allow it.  Every rung
     /// falls back down the ladder: jit -> compiled switch -> interpreter.
     exec::Backend backend = exec::Backend::kAuto;
-    std::size_t tile_lanes = 0;  ///< compiled lane-tile size; 0 = auto (fit L1)
+    std::size_t tile_lanes = 0;  ///< compiled lane-tile size; 0 = auto (fit L1 + L2)
     std::size_t compile_budget_steps = exec::kDefaultCompileBudget;
     /// SIMD tier for the compiled backend's lane-vectorized kernels.
     /// Unset = the process-wide active_simd_isa() (OBX_SIMD-overridable).
@@ -90,11 +91,20 @@ class HostBulkExecutor {
   /// Defined in src/plan/executor_shim.cpp: link obx_plan (or obx::obx).
   HostBulkExecutor(const plan::ExecutionPlan& plan, std::size_t lanes);
 
-  /// Runs `program` on p inputs given lane-major flat: input j occupies
-  /// inputs[j*program.input_words ... ).  Requires program.memory_words ==
-  /// layout.words_per_input() and inputs.size() == p * program.input_words.
+  /// Image path: runs `program` on p inputs given lane-major flat (input j
+  /// occupies inputs[j*program.input_words ... )) and returns the final
+  /// arranged image in HostRunResult::memory.  Requires program.memory_words
+  /// == layout.words_per_input() and inputs.size() == p * program.input_words.
   /// The program's stream factory must be safe to invoke concurrently.
   HostRunResult run(const trace::Program& program, std::span<const Word> inputs) const;
+
+  /// Output path: as run(), but writes each lane's output region straight
+  /// into `outputs` (resized to p * output_words, lane-major).  The compiled
+  /// and JIT engines copy each tile's output rows out of the tile image and
+  /// allocate no arranged image (HostRunResult::memory stays empty); the
+  /// interpreted engine falls back to run() + gather_outputs().
+  HostRunResult run_outputs(const trace::Program& program, std::span<const Word> inputs,
+                            std::vector<Word>& outputs) const;
 
   /// Extracts each lane's declared output region from a run's final memory,
   /// returned lane-major flat (p * output_words).
@@ -109,6 +119,9 @@ class HostBulkExecutor {
   const Layout& layout() const { return layout_; }
 
  private:
+  /// run() when `outputs` is null, run_outputs() otherwise.
+  HostRunResult execute(const trace::Program& program, std::span<const Word> inputs,
+                        std::vector<Word>* outputs) const;
   void run_chunk(const trace::Program& program, std::span<Word> memory, Lane lane_begin,
                  Lane lane_end, trace::StepCounts* counts) const;
 

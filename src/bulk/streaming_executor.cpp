@@ -57,9 +57,7 @@ StreamingExecutor::Stats StreamingExecutor::run(
                    exec_options);
       exec_batch = batch;
     }
-    const HostRunResult run = exec->run(program, inputs);
-    stats.sched += run.sched;
-    exec->gather_outputs(program, run.memory, outputs);
+    stats.sched += exec->run_outputs(program, inputs, outputs).sched;
     const auto consume_start = Clock::now();
     for (std::size_t j = 0; j < batch; ++j) {
       consume_output(base + j,

@@ -50,7 +50,7 @@ class StreamingExecutor {
   struct Stats {
     std::size_t batches = 0;
     std::size_t lanes = 0;
-    double execute_seconds = 0.0;   ///< engine time: layout, lockstep run, gather
+    double execute_seconds = 0.0;   ///< engine time: layout, lockstep run, outputs
     double callback_seconds = 0.0;  ///< time spent inside fill_input/consume_output
     SchedulerStats sched;           ///< CorePool work summed over the batches
     double seconds() const { return execute_seconds + callback_seconds; }

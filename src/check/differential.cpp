@@ -1,6 +1,7 @@
 #include "check/differential.hpp"
 
 #include <sstream>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "bulk/bulk.hpp"
@@ -53,6 +54,17 @@ std::vector<std::size_t> blocked_blocks(std::size_t p) {
 bulk::Layout layout_for(const trace::Program& program, std::size_t p,
                         const ExecConfig& config) {
   return bulk::make_layout(program, p, config.arrangement, config.block);
+}
+
+Divergence value_divergence(const ExecConfig& config, std::string_view path,
+                            std::size_t lane, std::size_t word, Word expected, Word got) {
+  Divergence d;
+  d.config = config.name() + std::string(path);
+  d.lane = lane;
+  d.word = word;
+  d.expected = expected;
+  d.got = got;
+  return d;
 }
 
 }  // namespace
@@ -234,7 +246,8 @@ std::vector<Word> oracle_memory(const trace::Program& program,
     const std::span<const Word> input =
         inputs.subspan(j * program.input_words, program.input_words);
     const trace::InterpreterResult ref = trace::interpret(program, input);
-    std::copy(ref.memory.begin(), ref.memory.end(), memory.begin() + j * n);
+    std::copy(ref.memory.begin(), ref.memory.end(),
+              memory.begin() + static_cast<std::ptrdiff_t>(j * n));
   }
   return memory;
 }
@@ -250,6 +263,13 @@ std::optional<Divergence> run_config(const trace::Program& program,
     return d;
   };
 
+  // Every config runs twice: the image path (run(), the full arranged image)
+  // and the output path (run_outputs() / plan::run with outputs, which the
+  // compiled and JIT engines serve straight from their tiles).
+  std::optional<bulk::Layout> layout;
+  bulk::HostRunResult image;
+  bulk::HostRunResult out_run;
+  std::vector<Word> outputs;
   if (config.via_planner) {
     plan::PlanOptions po;
     po.reference_lanes = p;
@@ -259,83 +279,75 @@ std::optional<Divergence> run_config(const trace::Program& program,
     // The oracle is the unoptimised program's full memory image; keep the
     // optimiser out so scratch words stay comparable.
     po.optimise = false;
-    std::shared_ptr<const plan::ExecutionPlan> plan;
-    bulk::HostRunResult run;
     try {
-      plan = plan::Planner(po).build(program);
-      run = bulk::HostBulkExecutor(plan->layout(p), plan->host_options())
-                .run(plan->program(), inputs);
+      const std::shared_ptr<const plan::ExecutionPlan> plan =
+          plan::Planner(po).build(program);
+      layout = plan->layout(p);
+      image = bulk::HostBulkExecutor(*layout, plan->host_options())
+                  .run(plan->program(), inputs);
+      out_run = plan::run(*plan, inputs, p, &outputs);
     } catch (const std::exception& e) {
       return fail(std::string("threw: ") + e.what());
     }
-    const bulk::Layout layout = plan->layout(p);
-    const std::size_t n = program.memory_words;
-    for (std::size_t j = 0; j < p; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const Word got = run.memory[layout.global(static_cast<Addr>(i), j)];
-        const Word expected = oracle[j * n + i];
-        if (got != expected) {
-          Divergence d;
-          d.config = config.name();
-          d.lane = j;
-          d.word = i;
-          d.expected = expected;
-          d.got = got;
-          return d;
-        }
+  } else {
+    // Budget-variant configs run against a private exec-cache slot: the
+    // process-wide slot memoises the first successful compile, which would
+    // otherwise hand a cached artifact to a config whose budget should
+    // refuse to build one.
+    trace::Program subject = program;
+    if (config.compile_budget_steps != 0) {
+      subject.exec_cache = std::make_shared<trace::ExecCacheSlot>();
+    }
+
+    bulk::HostBulkExecutor::Options options;
+    options.workers = config.workers;
+    options.backend = config.backend;
+    options.tile_lanes = config.tile_lanes;
+    if (config.compile_budget_steps != 0) {
+      options.compile_budget_steps = config.compile_budget_steps;
+    }
+    if (config.backend != exec::Backend::kInterpreted) options.simd = config.simd;
+
+    layout = layout_for(subject, p, config);
+    const bulk::HostBulkExecutor executor(*layout, options);
+    try {
+      image = executor.run(subject, inputs);
+      out_run = executor.run_outputs(subject, inputs, outputs);
+    } catch (const std::exception& e) {
+      return fail(std::string("threw: ") + e.what());
+    }
+    for (const bulk::HostRunResult* run : {&image, &out_run}) {
+      if (config.expect_backend.has_value() && run->backend != *config.expect_backend) {
+        return fail("expected backend " + exec::to_string(*config.expect_backend) +
+                    ", ran " + exec::to_string(run->backend));
       }
     }
-    return std::nullopt;
-  }
-
-  // Budget-variant configs run against a private exec-cache slot: the
-  // process-wide slot memoises the first successful compile, which would
-  // otherwise hand a cached artifact to a config whose budget should refuse
-  // to build one.
-  trace::Program subject = program;
-  if (config.compile_budget_steps != 0) {
-    subject.exec_cache = std::make_shared<trace::ExecCacheSlot>();
-  }
-
-  bulk::HostBulkExecutor::Options options;
-  options.workers = config.workers;
-  options.backend = config.backend;
-  options.tile_lanes = config.tile_lanes;
-  if (config.compile_budget_steps != 0) {
-    options.compile_budget_steps = config.compile_budget_steps;
-  }
-  if (config.backend != exec::Backend::kInterpreted) options.simd = config.simd;
-
-  const bulk::Layout layout = layout_for(subject, p, config);
-  const bulk::HostBulkExecutor executor(layout, options);
-
-  bulk::HostRunResult run;
-  try {
-    run = executor.run(subject, inputs);
-  } catch (const std::exception& e) {
-    return fail(std::string("threw: ") + e.what());
-  }
-
-  if (config.expect_backend.has_value() && run.backend != *config.expect_backend) {
-    return fail("expected backend " + exec::to_string(*config.expect_backend) +
-                ", ran " + exec::to_string(run.backend));
   }
 
   // Compare the full final memory image lane by lane — not just the declared
   // output window — so a wrong scratch word is a failure too.
-  const std::size_t n = subject.memory_words;
+  const std::size_t n = program.memory_words;
   for (std::size_t j = 0; j < p; ++j) {
     for (std::size_t i = 0; i < n; ++i) {
-      const Word got = run.memory[layout.global(static_cast<Addr>(i), j)];
+      const Word got = image.memory[layout->global(static_cast<Addr>(i), j)];
       const Word expected = oracle[j * n + i];
+      if (got != expected) return value_divergence(config, "", j, i, expected, got);
+    }
+  }
+
+  // The output path: each lane's output region, word for word.
+  if (out_run.backend != exec::Backend::kInterpreted && !out_run.memory.empty()) {
+    return fail("output path built an arranged image");
+  }
+  const std::size_t ow = program.output_words;
+  if (outputs.size() != p * ow) return fail("output path returned the wrong size");
+  for (std::size_t j = 0; j < p; ++j) {
+    for (std::size_t i = 0; i < ow; ++i) {
+      const std::size_t word = program.output_offset + i;
+      const Word got = outputs[j * ow + i];
+      const Word expected = oracle[j * n + word];
       if (got != expected) {
-        Divergence d;
-        d.config = config.name();
-        d.lane = j;
-        d.word = i;
-        d.expected = expected;
-        d.got = got;
-        return d;
+        return value_divergence(config, "/outputs", j, word, expected, got);
       }
     }
   }

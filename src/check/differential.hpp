@@ -3,16 +3,18 @@
 //
 // The paper's Theorem 2 rests on the trace being data-independent: every
 // execution path — interpreted or compiled, any arrangement, any SIMD tier,
-// any lane-tile split — must produce bit-identical memory images.  This
-// header enumerates that path matrix and checks a program against all of it.
+// any lane-tile split — must produce bit-identical memory images, and the
+// output path (HostBulkExecutor::run_outputs, which builds no arranged
+// image) bit-identical output regions.  This header enumerates that path
+// matrix and checks a program against all of it.
 //
 // Matrix axes:
 //   backend      interpreted, compiled (plus compile-budget straddles: a
 //                fresh-cache compile at budget == steps-1 must fall back to
 //                the interpreter, at budget == steps must compile)
 //   arrangement  row-wise, column-wise, blocked(B) for divisors B of p
-//                (including B that are not vector-width multiples — the
-//                ragged-tile case)
+//                (including B that are not vector-width multiples, so tile
+//                write-backs straddle blocks) and one non-divisor B
 //   SIMD tier    every tier simd_isa_supported() on this host/build
 //   tile_lanes   auto, 1 (scalar-tail-only), and a deliberately odd size
 //   workers      1 and 2 (chunk-boundary seams)
@@ -82,7 +84,10 @@ std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps);
 std::vector<Word> oracle_memory(const trace::Program& program,
                                 std::span<const Word> inputs, std::size_t p);
 
-/// Runs one config and compares against the oracle's lane-major memory.
+/// Runs one config through the image path and the output path and compares
+/// them against the oracle's lane-major memory (the whole image, then each
+/// lane's output region; an output-path divergence names the config with an
+/// "/outputs" suffix).
 std::optional<Divergence> run_config(const trace::Program& program,
                                      std::span<const Word> inputs, std::size_t p,
                                      std::span<const Word> oracle,

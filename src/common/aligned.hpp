@@ -1,7 +1,7 @@
 // 64-byte-aligned allocation for SIMD-hot buffers.
 //
 // The vectorized backend streams whole cachelines through the per-tile
-// register file and the arranged memory image; std::allocator only promises
+// register file and tile image; std::allocator only promises
 // alignof(std::max_align_t) (16 on x86-64), which lets a 512-bit access
 // straddle two cachelines.  aligned_vector pins those buffers to 64-byte
 // boundaries — one line, and big enough for any vector width we dispatch to —

@@ -1,14 +1,14 @@
-// Lane-tiled execution of a CompiledProgram over arranged global memory.
+// Lane-tiled execution of a CompiledProgram.
 //
 // Where the interpreted executor sweeps the whole worker chunk once per step
 // (streaming the full register file through cache every time), the compiled
-// backend walks lane tiles: for each tile of ~T lanes it scatters the tile's
-// inputs (a cache-blocked transpose instead of the per-lane strided writes of
-// Layout::scatter), zeroes a register tile small enough to stay L1-resident
-// (reg_count × T words), and then runs *every* fused op of every segment over
-// that tile before moving on.  Dispatch cost is amortised by superinstruction
-// fusion; memory traffic per tile touches each arranged word once per
-// load/store that names it.
+// backend walks lane tiles.  Each tile of T lanes runs in per-thread scratch:
+// its inputs are transposed into a tile image of n × T words (canonical word
+// a of tile lane j at a·T + j, sized to stay L2-resident), a register tile of
+// reg_count × T words (L1-resident) is zeroed, and *every* fused op of every
+// segment runs over that tile before the next one starts.  Dispatch cost is
+// amortised by superinstruction fusion; the arranged p·n image is touched at
+// most once per tile, by the epilogue (see TileSink).
 #pragma once
 
 #include <cstdint>
@@ -35,38 +35,55 @@ enum class Backend : std::uint8_t { kAuto, kInterpreted, kCompiled, kJit };
 
 std::string to_string(Backend backend);
 
+/// Auto tile budgets: the register tile (reg_count × T words) fits about a
+/// third of a typical 48 KB L1d, leaving room for the image rows; the tile
+/// image (n × T words) fits a per-core L2.
+inline constexpr std::size_t kRegTileBytes = 16 * 1024;
+inline constexpr std::size_t kTileImageBytes = 256 * 1024;
+
 /// Picks a lane-tile size: `requested` if nonzero, else the largest power of
-/// two in [32, 1024] keeping the register tile within ~16 KB (a third of a
-/// typical 48 KB L1d, leaving room for the memory streams).  A nonzero
-/// `requested` that is at least `vector_width` lanes is rounded down to a
-/// multiple of it so only the final tile of a chunk has a scalar tail;
-/// smaller requests are honoured as-is.  For blocked layouts the tile is
-/// shrunk to a divisor of the block so a tile never crosses a block boundary
-/// (tile addressing relies on a single stride), preferring a divisor that is
-/// also a vector-width multiple when one exists.  Always returns >= 1, even
-/// for degenerate inputs (p < vector_width, reg_count == 0, blocked layouts
-/// whose block is not a vector-width multiple): the worst case is a valid
-/// scalar tile, never 0.
+/// two in [32, 1024] keeping the register tile within kRegTileBytes and the
+/// tile image (layout.words_per_input() × T words) within kTileImageBytes —
+/// a program with a large memory image gets the 32-lane floor.  A tile at
+/// least `vector_width` lanes wide is rounded down to a multiple of it so
+/// only the final tile of a chunk has a scalar tail; smaller requests are
+/// honoured as-is.  Tiles never exceed layout.lanes() and need not respect
+/// the arrangement (no kernel addresses the arranged image).  Always returns
+/// >= 1, even for degenerate inputs (p < vector_width, reg_count == 0): the
+/// worst case is a valid scalar tile, never 0.
 std::size_t resolve_tile_lanes(std::size_t requested, std::size_t reg_count,
                                const bulk::Layout& layout,
                                std::size_t vector_width = 1);
 
-/// Executes `compiled` over lanes [lane_begin, lane_end), tile by tile,
-/// scattering each tile's inputs in place.  `memory` must be pre-zeroed;
-/// inputs are lane-major flat (lane j at inputs[j * input_words ...]).
-/// For blocked layouts `tile_lanes` must divide the block and lane_begin
-/// must be a tile_lanes multiple (see resolve_tile_lanes) — tile addressing
-/// splits lane_begin into a block index and an in-block offset, so any
-/// tile-aligned range works, including ranges starting mid-block (how the
-/// CorePool submits one task per tile).  Thread-safe across disjoint lane
-/// ranges; keeps a grow-only thread_local register scratch.  `isa`
+/// Where each lane tile's results go once its segments have run (the tile
+/// epilogue).
+struct TileSink {
+  /// Image path: every canonical word of every lane is written back through
+  /// `layout` into `memory`, the zero-filled arranged image
+  /// (layout.total_words() words; padding words are never written).
+  static TileSink image(const bulk::Layout& layout, std::span<Word> memory);
+  /// Output path: words [offset, offset + words) of lane j are copied to
+  /// out[j * words ...] (lane-major); no arranged image exists at all.
+  static TileSink outputs(std::span<Word> out, Addr offset, std::size_t words);
+
+  const bulk::Layout* layout = nullptr;  ///< set on the image path only
+  std::span<Word> dst;
+  Addr offset = 0;                       ///< output path only
+  std::size_t words = 0;                 ///< output path only
+};
+
+/// Executes `compiled` over lanes [lane_begin, lane_end), tile by tile (see
+/// the header comment), and writes each tile's results to `sink`.  Inputs are
+/// lane-major flat (lane j at inputs[j * input_words ...]).  Any lane range
+/// and any tile_lanes > 0 is valid.  Thread-safe across disjoint lane ranges;
+/// keeps grow-only thread_local register and tile-image scratch.  `isa`
 /// selects the lane-vectorized kernel set (lanes are packed
 /// `simd_width_words(isa)` per vector, ragged tails handled scalar); tiers
 /// this binary lacks degrade to the widest one it has.  Any tier is
 /// bit-identical to kScalar.
-void run_compiled_chunk(const CompiledProgram& compiled, const bulk::Layout& layout,
-                        std::span<const Word> inputs, std::size_t input_words,
-                        std::span<Word> memory, Lane lane_begin, Lane lane_end,
-                        std::size_t tile_lanes, SimdIsa isa = active_simd_isa());
+void run_compiled_chunk(const CompiledProgram& compiled, std::span<const Word> inputs,
+                        std::size_t input_words, const TileSink& sink, Lane lane_begin,
+                        Lane lane_end, std::size_t tile_lanes,
+                        SimdIsa isa = active_simd_isa());
 
 }  // namespace obx::exec

@@ -1,85 +1,55 @@
 // Shared tile plumbing for the compiled backend's translation units.
 //
-// backend.cpp (scatter, tiling, dispatch) and the per-ISA kernel TUs
-// (backend_w1/w2/avx2/avx512.cpp) all address the same lane-major register
-// tile and arranged memory image; the structs and address math live here so
-// they agree by construction.  reg/mem_ref are force-inlined for the same
-// ODR reason as simd.hpp: they are compiled under different target flags per
-// TU.
+// backend.cpp (the tile loop and dispatch), the JIT's run_jit_chunk and the
+// per-ISA kernel TUs (backend_w1/w2/avx2/avx512.cpp) all address the same
+// lane-major register tile and tile image; the structs and address math live
+// here so they agree by construction.  reg/mem_ref are force-inlined for the
+// same ODR reason as simd.hpp: they are compiled under different target
+// flags per TU.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 
-#include "bulk/layout.hpp"
 #include "common/types.hpp"
+#include "exec/backend.hpp"
 #include "exec/compiled_program.hpp"
 #include "trace/alu_ops.hpp"
 
 namespace obx::exec::detail {
 
-/// One lane tile: a window of `len` consecutive lanes starting at `base`,
-/// with an L1-resident lane-major register tile (register r of tile lane j at
-/// regs[r * cap + j]).
+/// One lane tile of `len` lanes, staged in per-thread scratch: an L1-resident
+/// register tile (register r of tile lane j at regs[r * cap + j]) and an
+/// L2-resident tile image (canonical word a of tile lane j at
+/// mem[a * cap + j]).  Every lane is independent (Theorem 2), so a tile
+/// needs nothing beyond its own lanes' words.
 struct Tile {
   Word* regs = nullptr;
+  Word* mem = nullptr;
   std::size_t cap = 0;
   std::size_t len = 0;
-  Word* mem = nullptr;
-  std::size_t p = 0;
-  std::size_t n = 0;
-  std::size_t block = 0;
-  bulk::Arrangement arr = bulk::Arrangement::kColumnWise;
-  std::size_t base = 0;
 };
 
 OBX_ALWAYS_INLINE Word* reg(const Tile& t, std::uint8_t r) {
   return t.regs + std::size_t{r} * t.cap;
 }
 
-/// Tile-lane j of canonical address a lives at ptr[j * stride].  Valid because
-/// a tile never spans a blocked layout's block boundary.
-struct MemRef {
-  Word* ptr = nullptr;
-  std::size_t stride = 1;
-};
-
-OBX_ALWAYS_INLINE MemRef mem_ref(const Tile& t, Addr a) {
-  switch (t.arr) {
-    case bulk::Arrangement::kColumnWise:
-      return {t.mem + std::size_t{a} * t.p + t.base, 1};
-    case bulk::Arrangement::kRowWise:
-      return {t.mem + t.base * t.n + a, t.n};
-    case bulk::Arrangement::kBlocked:
-      return {t.mem + (t.base / t.block) * (t.n * t.block) + std::size_t{a} * t.block +
-                  t.base % t.block,
-              1};
-    case bulk::Arrangement::kConflictFree:
-      // Padded column layout: t.block carries the pad stride.
-      return {t.mem + (std::size_t{a} * t.p + t.base) * t.block, t.block};
-  }
-  return {};
+/// Row `a` of the tile image: tile lane j's canonical word a is at [j].
+OBX_ALWAYS_INLINE Word* mem_ref(const Tile& t, Addr a) {
+  return t.mem + std::size_t{a} * t.cap;
 }
 
-/// Lane-to-lane word distance of the tile's arrangement — the stride every
-/// MemRef of this tile shares (1 for column-wise/blocked, n for row-wise,
-/// the pad stride for conflict-free).
-OBX_ALWAYS_INLINE std::size_t lane_word_stride(const Tile& t) {
-  switch (t.arr) {
-    case bulk::Arrangement::kRowWise:
-      return t.n;
-    case bulk::Arrangement::kConflictFree:
-      return t.block;
-    default:
-      return 1;
-  }
-}
-
-/// Scatters this tile's inputs into arranged memory (cache-blocked transpose
-/// for column-family layouts; contiguous row copies for row-wise).  Defined
-/// in backend.cpp; shared by run_compiled_chunk and the JIT's run_jit_chunk.
-void scatter_tile(const Tile& t, std::span<const Word> inputs, std::size_t input_words);
+/// The tile loop behind run_compiled_chunk and run_jit_chunk: for each
+/// tile of `tile_lanes` lanes in [lane_begin, lane_end) it transposes the
+/// inputs into the tile image, zeroes the rest of the image and the register
+/// tile, calls `run_segments` (every segment, in order), and hands the
+/// results to `sink`.  Defined in backend.cpp.
+void run_tiles(const CompiledProgram& compiled, std::span<const Word> inputs,
+               std::size_t input_words, const TileSink& sink, Lane lane_begin,
+               Lane lane_end, std::size_t tile_lanes,
+               const std::function<void(const Tile&)>& run_segments);
 
 // Per-ISA segment bodies.  Each is defined in exactly one translation unit,
 // compiled with that ISA's target flags, and instantiates exactly one vector

@@ -1,12 +1,10 @@
 #include "exec/jit/jit_program.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
 
-#include "common/aligned.hpp"
 #include "common/check.hpp"
 #include "exec/backend_detail.hpp"
 #include "exec/jit/kernel_table.hpp"
@@ -158,37 +156,13 @@ std::shared_ptr<const JitProgram> JitProgram::get_or_emit(
   return jp;
 }
 
-void run_jit_chunk(const JitProgram& jit, const bulk::Layout& layout,
-                   std::span<const Word> inputs, std::size_t input_words,
-                   std::span<Word> memory, Lane lane_begin, Lane lane_end,
-                   std::size_t tile_lanes) {
-  OBX_CHECK(tile_lanes > 0, "tile size must be positive");
-  const CompiledProgram& compiled = jit.compiled();
-  OBX_CHECK(compiled.memory_words() == layout.words_per_input(),
-            "jitted program sized for a different layout");
-  const std::size_t reg_count = std::max<std::size_t>(compiled.register_count(), 1);
-  // Grow-only thread-local register scratch, exactly as run_compiled_chunk:
-  // one pool task per tile means this entry point is the per-tile hot path.
-  thread_local aligned_vector<Word> regs;
-  const std::size_t regs_needed = reg_count * tile_lanes;
-  if (regs.size() < regs_needed) regs.resize(regs_needed);
-
-  detail::Tile t;
-  t.regs = regs.data();
-  t.cap = tile_lanes;
-  t.mem = memory.data();
-  t.p = layout.lanes();
-  t.n = layout.words_per_input();
-  t.block = layout.block();
-  t.arr = layout.arrangement();
-
-  for (std::size_t base = lane_begin; base < lane_end; base += tile_lanes) {
-    t.base = base;
-    t.len = std::min(tile_lanes, lane_end - base);
-    detail::scatter_tile(t, inputs, input_words);
-    std::fill_n(regs.data(), regs_needed, Word{0});
-    for (const JitProgram::SegmentEntry entry : jit.entries()) entry(&t);
-  }
+void run_jit_chunk(const JitProgram& jit, std::span<const Word> inputs,
+                   std::size_t input_words, const TileSink& sink, Lane lane_begin,
+                   Lane lane_end, std::size_t tile_lanes) {
+  detail::run_tiles(jit.compiled(), inputs, input_words, sink, lane_begin, lane_end,
+                    tile_lanes, [&](const detail::Tile& t) {
+                      for (const JitProgram::SegmentEntry entry : jit.entries()) entry(&t);
+                    });
 }
 
 }  // namespace obx::exec

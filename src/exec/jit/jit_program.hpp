@@ -39,7 +39,7 @@
 
 #include "common/simd_isa.hpp"
 #include "common/types.hpp"
-#include "bulk/layout.hpp"
+#include "exec/backend.hpp"
 #include "exec/compiled_program.hpp"
 #include "exec/jit/code_arena.hpp"
 
@@ -102,12 +102,11 @@ class JitProgram {
 };
 
 /// Executes emitted code over lanes [lane_begin, lane_end), tile by tile —
-/// the JIT twin of run_compiled_chunk, with the same tiling, scatter and
-/// register-scratch behaviour (and the same thread-safety contract).  The
-/// SIMD tier is baked into the emitted code, so there is no isa parameter.
-void run_jit_chunk(const JitProgram& jit, const bulk::Layout& layout,
-                   std::span<const Word> inputs, std::size_t input_words,
-                   std::span<Word> memory, Lane lane_begin, Lane lane_end,
-                   std::size_t tile_lanes);
+/// the JIT twin of run_compiled_chunk, through the same tile loop (tile
+/// image, scratch, epilogue and thread-safety contract).  The SIMD tier is
+/// baked into the emitted code, so there is no isa parameter.
+void run_jit_chunk(const JitProgram& jit, std::span<const Word> inputs,
+                   std::size_t input_words, const TileSink& sink, Lane lane_begin,
+                   Lane lane_end, std::size_t tile_lanes);
 
 }  // namespace obx::exec

@@ -14,9 +14,8 @@
 //
 // Obliviousness is what makes this trivially correct: every lane executes the
 // same Step sequence with the same addresses, so there are no divergence
-// masks, no gathers from data-dependent addresses — just contiguous or
-// constant-strided register columns (column-wise arrangement makes the
-// operand of lane j+1 adjacent to lane j's, stride 1).
+// masks, no gathers from data-dependent addresses — just contiguous register
+// columns and tile-image rows (lane j+1's operand sits next to lane j's).
 //
 // ODR note: everything here is force-inlined.  These templates are
 // instantiated under different -m flags per TU; an out-of-line copy picked
@@ -41,12 +40,6 @@ struct Vec {
     for (std::size_t i = 0; i < W; ++i) r.v[i] = p[i];
     return r;
   }
-  /// Strided load: element i from p[i * stride] (row-wise arrangement).
-  static OBX_ALWAYS_INLINE Vec load(const Word* p, std::size_t stride) {
-    Vec r;
-    for (std::size_t i = 0; i < W; ++i) r.v[i] = p[i * stride];
-    return r;
-  }
   static OBX_ALWAYS_INLINE Vec splat(Word x) {
     Vec r;
     for (std::size_t i = 0; i < W; ++i) r.v[i] = x;
@@ -54,9 +47,6 @@ struct Vec {
   }
   OBX_ALWAYS_INLINE void store(Word* p) const {
     for (std::size_t i = 0; i < W; ++i) p[i] = v[i];
-  }
-  OBX_ALWAYS_INLINE void store(Word* p, std::size_t stride) const {
-    for (std::size_t i = 0; i < W; ++i) p[i * stride] = v[i];
   }
 };
 

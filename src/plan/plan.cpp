@@ -244,9 +244,8 @@ std::string ExecutionPlan::describe() const {
 bulk::HostRunResult run(const ExecutionPlan& plan, std::span<const Word> inputs,
                         std::size_t p, std::vector<Word>* outputs) {
   const bulk::HostBulkExecutor exec(plan, p);
-  bulk::HostRunResult result = exec.run(plan.program(), inputs);
-  if (outputs != nullptr) exec.gather_outputs(plan.program(), result.memory, *outputs);
-  return result;
+  if (outputs != nullptr) return exec.run_outputs(plan.program(), inputs, *outputs);
+  return exec.run(plan.program(), inputs);
 }
 
 bulk::StreamingExecutor::Stats run_streaming(

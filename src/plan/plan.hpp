@@ -323,7 +323,10 @@ class ExecutionPlan {
 
 /// Plan-driven monolithic run: executes plan.program() over p lane-major
 /// inputs with the plan's arrangement/backend/tile/workers.  When `outputs`
-/// is non-null it receives the lane-major gathered output regions.
+/// is non-null the run takes the output path (HostBulkExecutor::run_outputs):
+/// `outputs` receives the lane-major output regions and, when the compiled
+/// or JIT engine ran, the result's `memory` is empty — no arranged image is
+/// built.  With `outputs` null the result carries the full arranged image.
 bulk::HostRunResult run(const ExecutionPlan& plan, std::span<const Word> inputs,
                         std::size_t p, std::vector<Word>* outputs = nullptr);
 

@@ -68,7 +68,7 @@ TEST(CorePool, RespectsAlignmentAndGrainRounding) {
   constexpr std::size_t kAlign = 7;
   constexpr std::size_t kCount = 7 * 123;
   std::atomic<std::size_t> covered{0};
-  // Grain 10 is not an align multiple: the pool must round it up to 14.
+  // Grain 10 is not an align multiple: the pool must round it down to 7.
   pool.parallel_for(kCount, kAlign, 10, 4, [&](std::size_t begin, std::size_t end) {
     EXPECT_EQ(begin % kAlign, 0u);
     EXPECT_TRUE(end % kAlign == 0 || end == kCount);

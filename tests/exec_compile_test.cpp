@@ -148,8 +148,8 @@ TEST(CompiledProgramTest, SegmentBoundariesPreserveSemantics) {
 
   const bulk::Layout layout = bulk::Layout::column_wise(p, program.memory_words);
   std::vector<Word> memory(layout.total_words(), Word{0});
-  exec::run_compiled_chunk(*compiled, layout, inputs, program.input_words, memory, 0, p,
-                           /*tile_lanes=*/4);
+  exec::run_compiled_chunk(*compiled, inputs, program.input_words,
+                           exec::TileSink::image(layout, memory), 0, p, /*tile_lanes=*/4);
 
   for (std::size_t j = 0; j < p; ++j) {
     const trace::InterpreterResult ref = trace::interpret(

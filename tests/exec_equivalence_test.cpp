@@ -6,9 +6,12 @@
 // compiled backend to the scalar SIMD tier and to the best tier this
 // CPU/build supports and asserts those are bit-identical too — the
 // lane-vectorization contract (including the float-op algorithms, whose
-// lane-wise IEEE results must not change with vector width).
+// lane-wise IEEE results must not change with vector width).  The same sweep
+// takes every case through the output path too, which builds no arranged
+// image, at one and four workers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <tuple>
 #include <vector>
 
@@ -36,14 +39,17 @@ std::vector<Word> flat_inputs(const algos::Algorithm& algo, std::size_t n, std::
   return inputs;
 }
 
-/// A block size that divides p, > 1 where possible, to make blocked layouts
-/// non-degenerate.
+/// A block size > 1 where possible, to make blocked layouts non-degenerate.
+/// The ragged and many-tile occupancies get 3: never a vector-width
+/// multiple, and for 7, 65 and 2048 not a divisor either, so tiles straddle
+/// blocks and the last block is padded.
 std::size_t block_for(std::size_t p) {
   switch (p) {
+    case 1: return 1;
     case 5: return 5;
     case 33: return 11;
     case 257: return 257;
-    default: return 1;
+    default: return 3;
   }
 }
 
@@ -60,8 +66,8 @@ TEST_P(ExecEquivalence, CompiledMatchesInterpretedAndInterpreter) {
   Rng rng(0xE9u ^ (p * 977));
   const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
 
-  // Blocked gets a p-dividing block; conflict-free gets a non-trivial pad
-  // stride (3) so the padded scatter/gather path is what is being tested.
+  // Blocked gets block_for(p); conflict-free gets a non-trivial pad stride
+  // (3) so the padded scatter/gather path is what is being tested.
   const Layout layout =
       arrangement == Arrangement::kBlocked
           ? Layout::blocked(p, program.memory_words, block_for(p))
@@ -136,6 +142,30 @@ TEST_P(ExecEquivalence, CompiledMatchesInterpretedAndInterpreter) {
           << name << " lane " << j << " word " << i;
     }
   }
+
+  // Output path: run_outputs builds no arranged image (each tile copies its
+  // output rows straight out) and must match the gathered image-path outputs
+  // just checked against the interpreter — on one and four workers, both
+  // tile engines and both ends of the SIMD range.
+  std::vector<exec::Backend> engines{exec::Backend::kCompiled};
+  if (exec::jit_available()) engines.push_back(exec::Backend::kJit);
+  std::vector<SimdIsa> tiers{SimdIsa::kScalar};
+  if (best != SimdIsa::kScalar) tiers.push_back(best);
+  for (const unsigned workers : {1u, 4u}) {
+    for (const exec::Backend engine : engines) {
+      for (const SimdIsa tier : tiers) {
+        const HostBulkExecutor exec(layout,
+                                    {.workers = workers, .backend = engine, .simd = tier});
+        std::vector<Word> got;
+        const HostRunResult o = exec.run_outputs(program, inputs, got);
+        ASSERT_EQ(o.backend, engine);
+        EXPECT_TRUE(o.memory.empty()) << "the output path built an arranged image";
+        ASSERT_EQ(got, outputs) << name << " " << layout.name() << " p=" << p
+                                << " workers=" << workers << " " << to_string(engine)
+                                << "/" << to_string(tier) << ": output path";
+      }
+    }
+  }
 }
 
 std::vector<Case> all_cases() {
@@ -144,7 +174,7 @@ std::vector<Case> all_cases() {
     for (const Arrangement arrangement :
          {Arrangement::kRowWise, Arrangement::kColumnWise, Arrangement::kBlocked,
           Arrangement::kConflictFree}) {
-      for (const std::size_t p : {1u, 5u, 33u, 257u}) {
+      for (const std::size_t p : {1u, 3u, 5u, 7u, 9u, 33u, 63u, 65u, 257u, 2048u}) {
         cases.emplace_back(algo.name, arrangement, p);
       }
     }
@@ -217,8 +247,7 @@ TEST(ExecEquivalenceRaggedTail, OddLaneCountsMatchScalarTier) {
 
 // The tile-size rounding rule: requested sizes >= the vector width round
 // down to a multiple of it; smaller requests are honoured; auto sizes are
-// powers of two (multiples of every width); blocked layouts prefer a
-// vector-multiple divisor of the block and fall back to a plain divisor.
+// powers of two (multiples of every width).
 TEST(ResolveTileLanes, RoundsToVectorWidthMultiples) {
   const Layout col = Layout::column_wise(4096, 8);
   EXPECT_EQ(exec::resolve_tile_lanes(100, 4, col, 8), 96u);
@@ -230,13 +259,34 @@ TEST(ResolveTileLanes, RoundsToVectorWidthMultiples) {
   const std::size_t auto_tile = exec::resolve_tile_lanes(0, 4, col, 8);
   EXPECT_EQ(auto_tile % 8, 0u);
   EXPECT_EQ(auto_tile, exec::resolve_tile_lanes(0, 4, col, 1));
-  // Blocked: tile must divide the block; prefer a vector-width multiple.
-  const Layout blocked24 = Layout::blocked(48, 8, 24);
-  EXPECT_EQ(exec::resolve_tile_lanes(24, 4, blocked24, 4), 24u);
-  EXPECT_EQ(exec::resolve_tile_lanes(23, 4, blocked24, 4), 12u);
-  // No vector-multiple divisor exists: fall back to the plain divisor rule.
-  const Layout blocked9 = Layout::blocked(27, 8, 9);
-  EXPECT_EQ(exec::resolve_tile_lanes(9, 4, blocked9, 4), 9u);
+}
+
+// The auto tile's second budget: the tile image (n words per lane) stays
+// within kTileImageBytes — 32768 words — unless the [32, 1024] clamp holds
+// it at 32 lanes.  Requested tiles are honoured whatever the image size,
+// and no arrangement changes the pick (tiles never address the image).
+TEST(ResolveTileLanes, AutoTileImageFitsItsBudget) {
+  constexpr std::size_t kImageWords = exec::kTileImageBytes / sizeof(Word);
+  EXPECT_EQ(kImageWords, 32768u);
+  for (const std::size_t n : {1u, 8u, 31u, 32u, 33u, 100u, 1024u, 1025u, 4096u, 65536u}) {
+    for (const std::size_t regs : {1u, 4u, 64u, 256u}) {
+      const std::size_t tile =
+          exec::resolve_tile_lanes(0, regs, Layout::column_wise(1u << 16, n), 8);
+      EXPECT_TRUE(std::has_single_bit(tile)) << "n=" << n << " regs=" << regs;
+      EXPECT_GE(tile, 32u);
+      EXPECT_LE(tile, 1024u);
+      EXPECT_TRUE(n * tile <= kImageWords || tile == 32u)
+          << "n=" << n << " regs=" << regs << " tile=" << tile;
+      EXPECT_TRUE(regs * tile * sizeof(Word) <= exec::kRegTileBytes || tile == 32u)
+          << "n=" << n << " regs=" << regs << " tile=" << tile;
+      EXPECT_EQ(tile, exec::resolve_tile_lanes(0, regs, Layout::blocked(1u << 16, n, 24), 8));
+      EXPECT_EQ(tile, exec::resolve_tile_lanes(0, regs, Layout::row_wise(1u << 16, n), 8));
+    }
+  }
+  EXPECT_EQ(exec::resolve_tile_lanes(0, 4, Layout::column_wise(4096, 64), 8), 512u);
+  EXPECT_EQ(exec::resolve_tile_lanes(0, 4, Layout::column_wise(4096, 4096), 8), 32u);
+  EXPECT_EQ(exec::resolve_tile_lanes(1024, 4, Layout::column_wise(4096, 4096), 8), 1024u);
+  EXPECT_EQ(exec::resolve_tile_lanes(100, 4, Layout::blocked(4096, 4096, 24), 8), 96u);
 }
 
 // Degenerate inputs must always yield a valid (>= 1 lane) tile: a zero tile
@@ -253,14 +303,6 @@ TEST(ResolveTileLanes, DegenerateInputsYieldAtLeastOneLane) {
   EXPECT_GE(exec::resolve_tile_lanes(0, 0, Layout::column_wise(64, 8), 8), 1u);
   // Explicit requests of 1 survive vector-width rounding.
   EXPECT_EQ(exec::resolve_tile_lanes(1, 4, Layout::column_wise(64, 8), 8), 1u);
-  // Blocked with block = 1 (prime p): the only divisor is 1.
-  EXPECT_EQ(exec::resolve_tile_lanes(0, 4, Layout::blocked(7, 8, 1), 8), 1u);
-  // Blocked block smaller than the vector width: no vector-multiple divisor
-  // exists at all; the plain-divisor fallback must still be >= 1.
-  const std::size_t ragged =
-      exec::resolve_tile_lanes(8, 4, Layout::blocked(9, 8, 3), 8);
-  EXPECT_GE(ragged, 1u);
-  EXPECT_EQ(3u % ragged, 0u);  // still divides the block
   // Huge vector width relative to everything else.
   EXPECT_GE(exec::resolve_tile_lanes(2, 1, Layout::column_wise(2, 8), 64), 1u);
 }

@@ -424,6 +424,46 @@ TEST(PlanEquivalenceTest, PlanConstructedExecutorsMatchPlanRun) {
   EXPECT_EQ(streamed, expected);
 }
 
+// plan::run with `outputs` takes the output path: the compiled and JIT
+// engines copy each tile's output rows straight out and build no arranged
+// image.  Without `outputs` the full image comes back as before.
+TEST(PlanEquivalenceTest, RunWithOutputsBuildsNoArrangedImage) {
+  const algos::Algorithm& algo = algos::find("prefix-sums");
+  const std::size_t n = 64;
+  const std::size_t p = 37;
+  const trace::Program program = algo.make_program(n);
+  const std::vector<Word> inputs = lane_inputs(algo, n, p, /*seed=*/31);
+  for (const exec::Backend backend : {exec::Backend::kAuto, exec::Backend::kCompiled}) {
+    plan::PlanOptions options;
+    options.backend = backend;
+    const auto plan = plan::build_plan(program, options);
+    ASSERT_NE(plan->backend(), exec::Backend::kInterpreted);
+
+    std::vector<Word> out;
+    const bulk::HostRunResult with = plan::run(*plan, inputs, p, &out);
+    EXPECT_EQ(with.backend, plan->backend());
+    EXPECT_TRUE(with.memory.empty());
+    ASSERT_EQ(out.size(), p * plan->output_words());
+
+    const bulk::HostRunResult without = plan::run(*plan, inputs, p);
+    EXPECT_EQ(without.backend, plan->backend());
+    ASSERT_EQ(without.memory.size(), plan->layout(p).total_words());
+    EXPECT_EQ(bulk::HostBulkExecutor(*plan, p).gather_outputs(plan->program(),
+                                                               without.memory),
+              out);
+    for (std::size_t j = 0; j < p; ++j) {
+      const trace::InterpreterResult ref = trace::interpret(
+          plan->program(),
+          std::span<const Word>(inputs.data() + j * plan->input_words(),
+                                plan->input_words()));
+      const auto expected = ref.output(plan->program());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(out[j * plan->output_words() + i], expected[i]) << "lane " << j;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // serve::PrepareOptions compatibility shim.
 
