@@ -63,12 +63,9 @@ BENCHMARK(BM_BulkAlu)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 void BM_HostExecutor(benchmark::State& state) {
   const std::size_t n = 64;
   const std::size_t p = static_cast<std::size_t>(state.range(0));
-  const bool column = state.range(1) != 0;
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
-  const bulk::Layout layout = column ? bulk::Layout::column_wise(p, n)
-                                     : bulk::Layout::row_wise(p, n);
-  const bulk::HostBulkExecutor exec(layout);
+  const bulk::HostBulkExecutor exec(p);
   for (auto _ : state) {
     auto run = exec.run(program, inputs);
     benchmark::DoNotOptimize(run.memory.data());
@@ -76,21 +73,16 @@ void BM_HostExecutor(benchmark::State& state) {
   // lane-steps per second.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p * program.profile().total()));
-  state.SetLabel(layout.name());
 }
-BENCHMARK(BM_HostExecutor)
-    ->Args({1 << 10, 0})
-    ->Args({1 << 10, 1})
-    ->Args({1 << 14, 0})
-    ->Args({1 << 14, 1});
+BENCHMARK(BM_HostExecutor)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_Fig11Backend(benchmark::State& state) {
   // The acceptance workload: Fig. 11 prefix sums at n = 1024, p = 4096 on a
   // single worker, interpreted vs compiled vs jit (first arg).  The second
-  // arg picks the path: 0 = the image path, run() (allocation, scatter,
-  // lockstep and the write-back of the whole arranged image); 1 = the output
-  // path, run_outputs(), which copies each tile's output rows straight out
-  // and builds no image.  The label reports the backend that actually ran,
+  // arg picks the path: 0 = the image path, run() (allocation, lockstep and
+  // the copy-out of every lane's whole memory, lane-major); 1 = the output
+  // path, run_outputs(), which copies only each tile's output rows out and
+  // builds no image.  The label reports the backend that actually ran,
   // so on hosts where emission is unsupported the jit row is visibly the
   // compiled fallback rather than a silently mislabelled number.
   const std::size_t n = 1024;
@@ -102,8 +94,7 @@ void BM_Fig11Backend(benchmark::State& state) {
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
   const bulk::HostBulkExecutor executor(
-      bulk::Layout::column_wise(p, n),
-      bulk::HostBulkExecutor::Options{.workers = 1, .backend = backend});
+      p, bulk::HostBulkExecutor::Options{.workers = 1, .backend = backend});
   exec::Backend resolved = backend;
   std::vector<Word> outputs;
   for (auto _ : state) {
@@ -142,8 +133,7 @@ void BM_DispatchOverhead(benchmark::State& state) {
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
   const bulk::HostBulkExecutor executor(
-      bulk::Layout::column_wise(p, n),
-      bulk::HostBulkExecutor::Options{.workers = 1, .backend = backend});
+      p, bulk::HostBulkExecutor::Options{.workers = 1, .backend = backend});
   exec::Backend resolved = backend;
   for (auto _ : state) {
     auto run = executor.run(program, inputs);
@@ -176,9 +166,8 @@ void BM_Fig11BackendScaling(benchmark::State& state) {
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
   const bulk::HostBulkExecutor executor(
-      bulk::Layout::column_wise(p, n),
-      bulk::HostBulkExecutor::Options{.workers = workers,
-                                      .backend = exec::Backend::kCompiled});
+      p, bulk::HostBulkExecutor::Options{.workers = workers,
+                                         .backend = exec::Backend::kCompiled});
   bulk::SchedulerStats sched;
   for (auto _ : state) {
     auto run = executor.run(program, inputs);
@@ -206,9 +195,9 @@ BENCHMARK(BM_Fig11BackendScaling)
 
 void BM_SimdVsScalar(benchmark::State& state) {
   // Lane-vectorization headroom on an ALU-dense workload: TEA (32 rounds of
-  // shifts/xors/adds per block) on the compiled backend, column-wise, one
-  // worker, with the SIMD tier pinned per run.  Arg 0 = scalar tier, arg 1 =
-  // the widest tier this CPU/build supports; the ratio of the two is the
+  // shifts/xors/adds per block) on the compiled backend, one worker, with
+  // the SIMD tier pinned per run.  Arg 0 = scalar tier, arg 1 = the widest
+  // tier this CPU/build supports; the ratio of the two is the
   // lane-vectorization speedup.
   const std::size_t blocks = 32;
   const std::size_t p = 4096;
@@ -221,9 +210,8 @@ void BM_SimdVsScalar(benchmark::State& state) {
     inputs.insert(inputs.end(), one.begin(), one.end());
   }
   const bulk::HostBulkExecutor executor(
-      bulk::Layout::column_wise(p, program.memory_words),
-      bulk::HostBulkExecutor::Options{
-          .workers = 1, .backend = exec::Backend::kCompiled, .simd = isa});
+      p, bulk::HostBulkExecutor::Options{
+             .workers = 1, .backend = exec::Backend::kCompiled, .simd = isa});
   for (auto _ : state) {
     auto run = executor.run(program, inputs);
     benchmark::DoNotOptimize(run.memory.data());
@@ -370,8 +358,8 @@ BENCHMARK(BM_StreamingExecutor)->Arg(1 << 8)->Arg(1 << 12);
 
 void BM_AlgosSuite(benchmark::State& state) {
   // The whole registry as one serving-shaped scenario sweep: every algorithm
-  // at its largest test size <= 64, compiled backend, column-wise, one
-  // worker.  One iteration = one pass over every scenario, so time/iter is
+  // at its largest test size <= 64, compiled backend, one worker.  One
+  // iteration = one pass over every scenario, so time/iter is
   // "cost of the full workload family" and the counters make the suite's
   // breadth a tracked metric — `algorithms` is the registry size and
   // `scenarios` the number of (algorithm, n) pairs executed; CI's bench-smoke
@@ -399,9 +387,8 @@ void BM_AlgosSuite(benchmark::State& state) {
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
     bulk::HostBulkExecutor executor(
-        bulk::Layout::column_wise(p, program.memory_words),
-        bulk::HostBulkExecutor::Options{.workers = 1,
-                                        .backend = exec::Backend::kCompiled});
+        p, bulk::HostBulkExecutor::Options{.workers = 1,
+                                           .backend = exec::Backend::kCompiled});
     scenarios.push_back(Scenario{&algo, std::move(program), std::move(inputs),
                                  std::move(executor)});
   }

@@ -66,8 +66,7 @@ int main() {
     const auto series = rng.words_f64(n, 0.0, 100.0);
     inputs.insert(inputs.end(), series.begin(), series.end());
   }
-  const bulk::BulkOutputs out =
-      bulk::run_bulk(program, inputs, p, bulk::Arrangement::kColumnWise);
+  const bulk::BulkOutputs out = bulk::run_bulk(program, inputs, p);
 
   for (std::size_t j = 0; j < p; j += 63) {
     double level = trace::as_f64(inputs[j * n]);

@@ -90,8 +90,7 @@ int main() {
   }
 
   // 2. Bulk-execute Algorithm OPT for all polygons.
-  const bulk::BulkOutputs tables =
-      bulk::run_bulk(program, inputs, p, bulk::Arrangement::kColumnWise);
+  const bulk::BulkOutputs tables = bulk::run_bulk(program, inputs, p);
 
   // 3. Verify every polygon against the native DP and summarise.
   double min_weight = 1e300, max_weight = 0.0;

@@ -32,7 +32,7 @@ struct SessionOptions {
   /// arrangement recommendation targets).
   umm::MachineConfig machine{.width = 32, .latency = 200};
 
-  /// Peak resident words for lane data (inputs + arranged memory + outputs
+  /// Peak resident words for lane data (inputs + memory image + outputs
   /// of one batch).  Batches are sized to stay under this.
   std::size_t memory_budget_words = 1u << 24;
 

@@ -22,10 +22,8 @@ Layout make_layout(const trace::Program& program, std::size_t p, Arrangement arr
 }
 
 BulkOutputs run_bulk(const trace::Program& program, std::span<const Word> inputs,
-                     std::size_t p, Arrangement arrangement, unsigned workers,
-                     std::size_t arrangement_param) {
-  HostBulkExecutor exec(make_layout(program, p, arrangement, arrangement_param),
-                        HostBulkExecutor::Options{.workers = workers});
+                     std::size_t p, unsigned workers) {
+  const HostBulkExecutor exec(p, HostBulkExecutor::Options{.workers = workers});
   BulkOutputs out;
   out.words_per_output = program.output_words;
   exec.run_outputs(program, inputs, out.flat);

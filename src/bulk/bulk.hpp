@@ -26,12 +26,10 @@ struct BulkOutputs {
   }
 };
 
-/// Executes `program` for p inputs (lane-major flat) on the host, using the
-/// given arrangement, and returns the per-lane outputs.  `arrangement_param`
-/// is forwarded to make_layout (block size / pad stride).
+/// Executes `program` for p inputs (lane-major flat) on the host with up to
+/// `workers` threads and returns the per-lane outputs.
 BulkOutputs run_bulk(const trace::Program& program, std::span<const Word> inputs,
-                     std::size_t p, Arrangement arrangement = Arrangement::kColumnWise,
-                     unsigned workers = 1, std::size_t arrangement_param = 0);
+                     std::size_t p, unsigned workers = 1);
 
 /// Builds the layout for a program/arrangement pair.  `param` is the
 /// arrangement parameter: the block size for kBlocked (required) or the pad

@@ -242,16 +242,13 @@ unsigned CorePool::worker_count() const { return impl_->worker_count; }
 bool CorePool::pinning() const { return impl_->pin; }
 
 SchedulerStats CorePool::parallel_for(
-    std::size_t count, std::size_t align, std::size_t grain, unsigned max_workers,
+    std::size_t count, std::size_t grain, unsigned max_workers,
     const std::function<void(std::size_t, std::size_t)>& body) {
-  OBX_CHECK(align > 0, "alignment must be positive");
   SchedulerStats stats;
   if (count == 0) return stats;
 
-  // Tile grain: a positive align-multiple, clamped to the region.
-  std::size_t g = std::max(grain, align);
-  g -= g % align;
-  g = std::min(g, count);
+  // Tile grain: positive, clamped to the region.
+  const std::size_t g = std::clamp<std::size_t>(grain, 1, count);
   const std::size_t tiles = (count + g - 1) / g;
 
   const unsigned used = static_cast<unsigned>(
@@ -364,11 +361,8 @@ unsigned default_worker_count() {
   return count;
 }
 
-std::size_t chunk_grain(std::size_t count, std::size_t align, unsigned workers) {
-  const std::size_t blocks = std::max<std::size_t>(count / std::max<std::size_t>(align, 1), 1);
-  const std::size_t per = std::max<std::size_t>(
-      blocks / (std::size_t{std::max(1u, workers)} * 4), 1);
-  return per * std::max<std::size_t>(align, 1);
+std::size_t chunk_grain(std::size_t count, unsigned workers) {
+  return std::max<std::size_t>(count / (std::size_t{std::max(1u, workers)} * 4), 1);
 }
 
 }  // namespace obx::bulk

@@ -96,18 +96,14 @@ class CorePool {
   bool pinning() const;  ///< resolved pin policy for this pool
 
   /// Runs body(tile_begin, tile_end) over [0, count) cut into tiles of
-  /// `grain` (rounded down to a multiple of `align`, at least `align`;
-  /// interior tile boundaries are always align-multiples, so blocked layouts
-  /// never split a block when align divides the block — a trailing partial
-  /// tile is allowed, covering the ragged tail of a padded blocked layout).  Up to max_workers threads
-  /// execute tiles concurrently — the calling thread plus woken pool
-  /// workers; the knob is a parallelism target, not a hard cap (an
-  /// already-awake worker may help any region).  max_workers <= 1,
+  /// `grain` lanes (at least one; the last tile takes the ragged tail).  Up
+  /// to max_workers threads execute tiles concurrently — the calling thread
+  /// plus woken pool workers; the knob is a parallelism target, not a hard
+  /// cap (an already-awake worker may help any region).  max_workers <= 1,
   /// count <= grain, or a single tile run the body inline with zero
   /// scheduler involvement.  Returns after every tile completed; the first
   /// tile exception is rethrown here.
-  SchedulerStats parallel_for(std::size_t count, std::size_t align, std::size_t grain,
-                              unsigned max_workers,
+  SchedulerStats parallel_for(std::size_t count, std::size_t grain, unsigned max_workers,
                               const std::function<void(std::size_t, std::size_t)>& body);
 
   CountersSnapshot counters() const;
@@ -128,7 +124,7 @@ class CorePool {
 /// Tile grain for coarse interpreted chunks: ~4 tiles per worker (enough
 /// slack for a ragged tail to spread across the workers, few enough that
 /// per-chunk costs — e.g. one program-stream drain per chunk — stay
-/// amortised), in lanes, always a positive multiple of align.
-std::size_t chunk_grain(std::size_t count, std::size_t align, unsigned workers);
+/// amortised), in lanes, always positive.
+std::size_t chunk_grain(std::size_t count, unsigned workers);
 
 }  // namespace obx::bulk

@@ -1,11 +1,14 @@
 // Lockstep host execution of a bulk oblivious program.
 //
 // This is the functional analogue of the paper's CUDA kernels: every step of
-// the oblivious program is applied across all p lanes before the next step
-// begins (per worker chunk), with a register file stored lane-major
-// (structure-of-arrays) so ALU steps and column-wise memory steps run over
-// contiguous memory and vectorise.  Results are bit-identical to running the
-// scalar interpreter p times.
+// the oblivious program is applied across a whole tile of lanes before the
+// next step begins, with registers and memory stored lane-interleaved
+// (structure-of-arrays) so every step runs over contiguous memory and
+// vectorises.  All three engines (interpreted, compiled, JIT) run through
+// exec's one tile driver and return lane-major results: the data
+// arrangement is a property of the simulated machine (bulk::Layout,
+// UmmBulkExecutor), not of the host.  Results are bit-identical to running
+// the scalar interpreter p times.
 #pragma once
 
 #include <optional>
@@ -16,7 +19,6 @@
 #include "common/simd_isa.hpp"
 #include "common/types.hpp"
 #include "bulk/core_pool.hpp"
-#include "bulk/layout.hpp"
 #include "exec/backend.hpp"
 #include "trace/program.hpp"
 
@@ -27,15 +29,14 @@ class ExecutionPlan;
 namespace obx::bulk {
 
 struct HostRunResult {
-  /// Final arranged global memory (p·n words), 64-byte aligned.  Compares
-  /// equal to a plain std::vector<Word> with the same contents (see
-  /// common/aligned.hpp).  Empty after run_outputs() on the compiled and JIT
-  /// engines, which never build the arranged image.
+  /// Final memory of every lane after run(): p·n words, lane j's canonical
+  /// word a at memory[j·n + a], 64-byte aligned.  Compares equal to a plain
+  /// std::vector<Word> with the same contents (see common/aligned.hpp).
+  /// Empty after run_outputs(), on every engine.
   aligned_vector<Word> memory;
   trace::StepCounts counts;   ///< steps in one program stream (per input)
-  /// Wall-clock of scatter + lockstep + tile epilogue, on every engine.
-  /// Allocating and zero-filling the arranged image is excluded, and so is
-  /// the interpreted output path's gather.
+  /// Wall-clock of the tile driver — staging, lockstep and the epilogue —
+  /// on every engine.  Allocating the result is excluded.
   double seconds = 0.0;
   /// Engine that actually ran: kJit when emitted zero-dispatch code executed,
   /// kCompiled when the switch backend did (requested, or JIT emission
@@ -44,11 +45,10 @@ struct HostRunResult {
   /// SIMD tier the lockstep loop ran at (Options::simd if set — compiled
   /// backend only — else the process-wide active_simd_isa()).
   SimdIsa simd = SimdIsa::kScalar;
-  /// What the CorePool scheduler did for this run (scatter + lockstep
-  /// regions): tile tasks, cross-thread steals, submitter parks.  For
-  /// workers <= 1 runs each region executes inline on the caller and counts
-  /// as one task (so tasks is the region count), while steals and parks
-  /// stay zero — the pool's worker threads are never touched.
+  /// What the CorePool scheduler did for this run's one region: tile tasks,
+  /// cross-thread steals, submitter parks.  For workers <= 1 runs the region
+  /// executes inline on the caller and counts as one task, while steals and
+  /// parks stay zero — the pool's worker threads are never touched.
   SchedulerStats sched;
 };
 
@@ -81,51 +81,47 @@ class HostBulkExecutor {
     std::optional<SimdIsa> simd{};
   };
 
-  explicit HostBulkExecutor(Layout layout);
-  HostBulkExecutor(Layout layout, Options options);
+  explicit HostBulkExecutor(std::size_t lanes);
+  HostBulkExecutor(std::size_t lanes, Options options);
 
-  /// Plan-driven construction: arrangement, backend, tile size, compile
-  /// budget and worker count all come from the plan, sized for `lanes`
-  /// lanes.  run() must be given plan.program() (the plan's optimised
-  /// program) — or use plan::run(), which cannot get the pairing wrong.
-  /// Defined in src/plan/executor_shim.cpp: link obx_plan (or obx::obx).
+  /// Plan-driven construction: backend, tile size, compile budget and worker
+  /// count all come from the plan, for runs of `lanes` lanes.  run() must be
+  /// given plan.program() (the plan's optimised program) — or use
+  /// plan::run(), which cannot get the pairing wrong.  Defined in
+  /// src/plan/executor_shim.cpp: link obx_plan (or obx::obx).
   HostBulkExecutor(const plan::ExecutionPlan& plan, std::size_t lanes);
 
   /// Image path: runs `program` on p inputs given lane-major flat (input j
-  /// occupies inputs[j*program.input_words ... )) and returns the final
-  /// arranged image in HostRunResult::memory.  Requires program.memory_words
-  /// == layout.words_per_input() and inputs.size() == p * program.input_words.
-  /// The program's stream factory must be safe to invoke concurrently.
+  /// occupies inputs[j*program.input_words ... )) and returns every lane's
+  /// final memory in HostRunResult::memory, lane-major (p·n words).
+  /// Requires inputs.size() == p * program.input_words.  The program's
+  /// stream factory must be safe to invoke concurrently.
   HostRunResult run(const trace::Program& program, std::span<const Word> inputs) const;
 
-  /// Output path: as run(), but writes each lane's output region straight
-  /// into `outputs` (resized to p * output_words, lane-major).  The compiled
-  /// and JIT engines copy each tile's output rows out of the tile image and
-  /// allocate no arranged image (HostRunResult::memory stays empty); the
-  /// interpreted engine falls back to run() + gather_outputs().
+  /// Output path: as run(), but each tile's epilogue copies only the lane's
+  /// output region, straight into `outputs` (resized to p * output_words,
+  /// lane-major); HostRunResult::memory stays empty on every engine.
   HostRunResult run_outputs(const trace::Program& program, std::span<const Word> inputs,
                             std::vector<Word>& outputs) const;
 
-  /// Extracts each lane's declared output region from a run's final memory,
-  /// returned lane-major flat (p * output_words).
+  /// Extracts each lane's declared output region from run()'s lane-major
+  /// memory, returned lane-major flat (p * output_words).
   std::vector<Word> gather_outputs(const trace::Program& program,
                                    std::span<const Word> memory) const;
 
   /// As above, writing into `out` (resized to p * output_words) so repeated
-  /// runs — e.g. StreamingExecutor batches — reuse one allocation.
+  /// runs reuse one allocation.
   void gather_outputs(const trace::Program& program, std::span<const Word> memory,
                       std::vector<Word>& out) const;
 
-  const Layout& layout() const { return layout_; }
+  std::size_t lanes() const { return lanes_; }
 
  private:
   /// run() when `outputs` is null, run_outputs() otherwise.
   HostRunResult execute(const trace::Program& program, std::span<const Word> inputs,
                         std::vector<Word>* outputs) const;
-  void run_chunk(const trace::Program& program, std::span<Word> memory, Lane lane_begin,
-                 Lane lane_end, trace::StepCounts* counts) const;
 
-  Layout layout_;
+  std::size_t lanes_;
   Options options_;
 };
 

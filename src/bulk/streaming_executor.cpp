@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
 
 namespace obx::bulk {
@@ -34,8 +33,8 @@ StreamingExecutor::Stats StreamingExecutor::run(
       .tile_lanes = options_.tile_lanes,
       .compile_budget_steps = options_.compile_budget_steps,
       .simd = options_.simd};
-  // All full batches share one layout/executor; only a trailing partial
-  // batch (batch size changes at most once) forces a rebuild.
+  // All full batches share one executor; only a trailing partial batch
+  // (batch size changes at most once) forces a rebuild.
   std::optional<HostBulkExecutor> exec;
   std::size_t exec_batch = 0;
   std::vector<Word> inputs;
@@ -52,9 +51,7 @@ StreamingExecutor::Stats StreamingExecutor::run(
 
     const auto exec_start = Clock::now();
     if (!exec.has_value() || exec_batch != batch) {
-      exec.emplace(make_layout(program, batch, options_.arrangement,
-                               options_.arrangement_param),
-                   exec_options);
+      exec.emplace(batch, exec_options);
       exec_batch = batch;
     }
     stats.sched += exec->run_outputs(program, inputs, outputs).sched;

@@ -16,7 +16,6 @@
 #include "common/simd_isa.hpp"
 #include "common/types.hpp"
 #include "bulk/core_pool.hpp"
-#include "bulk/layout.hpp"
 #include "exec/backend.hpp"
 #include "trace/program.hpp"
 
@@ -34,10 +33,6 @@ class StreamingExecutor {
   struct Options {
     std::size_t max_resident_lanes = 4096;  ///< peak memory = this · n words
     unsigned workers = 1;                   ///< host threads per batch
-    Arrangement arrangement = Arrangement::kColumnWise;
-    /// Arrangement parameter: block size (kBlocked) or pad stride
-    /// (kConflictFree); 0 = auto (see bulk::make_layout).
-    std::size_t arrangement_param = 0;
     /// Lockstep engine for each batch (see HostBulkExecutor::Options).
     exec::Backend backend = exec::Backend::kAuto;
     std::size_t tile_lanes = 0;
@@ -50,7 +45,7 @@ class StreamingExecutor {
   struct Stats {
     std::size_t batches = 0;
     std::size_t lanes = 0;
-    double execute_seconds = 0.0;   ///< engine time: layout, lockstep run, outputs
+    double execute_seconds = 0.0;   ///< engine time: lockstep run and outputs
     double callback_seconds = 0.0;  ///< time spent inside fill_input/consume_output
     SchedulerStats sched;           ///< CorePool work summed over the batches
     double seconds() const { return execute_seconds + callback_seconds; }

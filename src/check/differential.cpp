@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "common/check.hpp"
-#include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
 #include "exec/jit/jit_program.hpp"
 #include "plan/planner.hpp"
@@ -14,8 +13,6 @@ namespace obx::check {
 
 namespace {
 
-using bulk::Arrangement;
-
 /// SIMD tiers this host/build can actually execute, narrowest first.
 std::vector<SimdIsa> supported_tiers() {
   std::vector<SimdIsa> tiers;
@@ -24,36 +21,6 @@ std::vector<SimdIsa> supported_tiers() {
     if (simd_isa_supported(isa)) tiers.push_back(isa);
   }
   return tiers;
-}
-
-/// Up to two interesting blocked arrangements for occupancy p: the smallest
-/// nontrivial divisor (usually not a vector-width multiple — the ragged-tile
-/// case) and the largest proper divisor.  p prime yields block = 1, which is
-/// still a valid blocked layout (degenerates to row-wise addressing but runs
-/// the blocked code paths).
-std::vector<std::size_t> blocked_blocks(std::size_t p) {
-  std::vector<std::size_t> blocks;
-  if (p < 2) return blocks;
-  std::size_t smallest = 0;
-  for (std::size_t d = 2; d * d <= p; ++d) {
-    if (p % d == 0) {
-      smallest = d;
-      break;
-    }
-  }
-  if (smallest == 0) {
-    blocks.push_back(1);  // p prime
-    return blocks;
-  }
-  blocks.push_back(smallest);
-  const std::size_t largest = p / smallest;
-  if (largest != smallest) blocks.push_back(largest);
-  return blocks;
-}
-
-bulk::Layout layout_for(const trace::Program& program, std::size_t p,
-                        const ExecConfig& config) {
-  return bulk::make_layout(program, p, config.arrangement, config.block);
 }
 
 Divergence value_divergence(const ExecConfig& config, std::string_view path,
@@ -72,21 +39,13 @@ Divergence value_divergence(const ExecConfig& config, std::string_view path,
 std::string ExecConfig::name() const {
   std::ostringstream os;
   if (via_planner) {
-    os << "planner" << (tune ? "/tuned" : "/searched");
-    if (workers != 1) os << "/workers=" << workers;
-    return os.str();
-  }
-  os << to_string(backend) << "/";
-  if (arrangement == Arrangement::kBlocked) {
-    os << "blocked(" << block << ")";
-  } else if (arrangement == Arrangement::kConflictFree) {
-    os << "cf(" << block << ")";
+    os << "planner";
   } else {
-    os << (arrangement == Arrangement::kRowWise ? "row" : "col");
-  }
-  if (backend != exec::Backend::kInterpreted) {
-    os << "/" << obx::to_string(simd) << "/tile=" << tile_lanes;
-    if (compile_budget_steps != 0) os << "/budget=" << compile_budget_steps;
+    os << to_string(backend);
+    if (backend != exec::Backend::kInterpreted) {
+      os << "/" << obx::to_string(simd) << "/tile=" << tile_lanes;
+      if (compile_budget_steps != 0) os << "/budget=" << compile_budget_steps;
+    }
   }
   if (workers != 1) os << "/workers=" << workers;
   return os.str();
@@ -108,56 +67,31 @@ std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps) 
   std::vector<ExecConfig> configs;
   const std::vector<SimdIsa> tiers = supported_tiers();
 
-  struct Arr {
-    Arrangement arrangement;
-    std::size_t block;
-  };
-  std::vector<Arr> arrangements{{Arrangement::kRowWise, 0},
-                                {Arrangement::kColumnWise, 0},
-                                {Arrangement::kConflictFree, 2},
-                                {Arrangement::kConflictFree, 4}};
-  for (const std::size_t b : blocked_blocks(p)) {
-    arrangements.push_back({Arrangement::kBlocked, b});
-  }
-  // Ragged blocked: a block that does not divide p pads the last block.
-  if (p >= 3) arrangements.push_back({Arrangement::kBlocked, p - 1});
-
-  for (const Arr& arr : arrangements) {
-    ExecConfig interp;
-    interp.backend = exec::Backend::kInterpreted;
-    interp.arrangement = arr.arrangement;
-    interp.block = arr.block;
-    configs.push_back(interp);
-
-    for (const SimdIsa isa : tiers) {
-      for (const std::size_t tile : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-        ExecConfig c;
-        c.backend = exec::Backend::kCompiled;
-        c.arrangement = arr.arrangement;
-        c.block = arr.block;
-        c.simd = isa;
-        c.tile_lanes = tile;
-        configs.push_back(c);
-      }
-      // The copy-and-patch JIT leg: every arrangement × tier, auto and
-      // ragged tiles, against the same oracle.  Where emission is available
-      // the run must actually be the JIT (expect_backend pins it); elsewhere
-      // the config still runs, via the compiled-switch fallback.
-      for (const std::size_t tile : {std::size_t{0}, std::size_t{3}}) {
-        ExecConfig j;
-        j.backend = exec::Backend::kJit;
-        j.arrangement = arr.arrangement;
-        j.block = arr.block;
-        j.simd = isa;
-        j.tile_lanes = tile;
-        if (exec::jit_available()) j.expect_backend = exec::Backend::kJit;
-        configs.push_back(j);
-      }
+  configs.push_back(ExecConfig{});  // the interpreted engine
+  for (const SimdIsa isa : tiers) {
+    for (const std::size_t tile : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+      ExecConfig c;
+      c.backend = exec::Backend::kCompiled;
+      c.simd = isa;
+      c.tile_lanes = tile;
+      configs.push_back(c);
+    }
+    // The copy-and-patch JIT leg: every tier, auto and ragged tiles, against
+    // the same oracle.  Where emission is available the run must actually be
+    // the JIT (expect_backend pins it); elsewhere the config still runs, via
+    // the compiled-switch fallback.
+    for (const std::size_t tile : {std::size_t{0}, std::size_t{3}}) {
+      ExecConfig j;
+      j.backend = exec::Backend::kJit;
+      j.simd = isa;
+      j.tile_lanes = tile;
+      if (exec::jit_available()) j.expect_backend = exec::Backend::kJit;
+      configs.push_back(j);
     }
   }
 
-  // Chunk-boundary seams: the widest tier, column-wise, two workers — plus
-  // the interpreted engine with two workers.
+  // Chunk-boundary seams: the widest tier, two workers — plus the
+  // interpreted engine with two workers.
   if (p >= 2) {
     ExecConfig c;
     c.backend = exec::Backend::kCompiled;
@@ -173,8 +107,8 @@ std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps) 
   // Scheduler stress: oversubscribe the CorePool (8-way) with one-lane
   // tiles so the submitter and the workers race for every tile counter
   // claim, plus the interpreted engine at the same width.  Any ordering- or
-  // ownership-sensitivity in tile claiming shows up as a memory-image
-  // divergence from the oracle.
+  // ownership-sensitivity in tile claiming shows up as a memory divergence
+  // from the oracle.
   if (p >= 4) {
     ExecConfig steal;
     steal.backend = exec::Backend::kCompiled;
@@ -192,18 +126,11 @@ std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps) 
     configs.push_back(isteal);
   }
 
-  // The full planning path: the arrangement search (and, in the second
-  // config, the measuring auto-tuner) picks the layout; whatever it picks
-  // must still match the oracle bit for bit.
-  {
-    ExecConfig searched;
-    searched.via_planner = true;
-    configs.push_back(searched);
-    ExecConfig tuned;
-    tuned.via_planner = true;
-    tuned.tune = true;
-    configs.push_back(tuned);
-  }
+  // The full planning path: whatever the plan decides must still match the
+  // oracle bit for bit.
+  ExecConfig planned;
+  planned.via_planner = true;
+  configs.push_back(planned);
 
   // Compile-budget straddles (fresh cache slots, see run_config): one step
   // under budget must fall back to the interpreter bit-identically; exactly
@@ -263,10 +190,8 @@ std::optional<Divergence> run_config(const trace::Program& program,
     return d;
   };
 
-  // Every config runs twice: the image path (run(), the full arranged image)
-  // and the output path (run_outputs() / plan::run with outputs, which the
-  // compiled and JIT engines serve straight from their tiles).
-  std::optional<bulk::Layout> layout;
+  // Every config runs twice: the image path (run(), every lane's final
+  // memory) and the output path (run_outputs() / plan::run with outputs).
   bulk::HostRunResult image;
   bulk::HostRunResult out_run;
   std::vector<Word> outputs;
@@ -274,17 +199,13 @@ std::optional<Divergence> run_config(const trace::Program& program,
     plan::PlanOptions po;
     po.reference_lanes = p;
     po.workers = config.workers;
-    po.tune.measure = config.tune;
-    po.tune.trials = 1;
     // The oracle is the unoptimised program's full memory image; keep the
     // optimiser out so scratch words stay comparable.
     po.optimise = false;
     try {
       const std::shared_ptr<const plan::ExecutionPlan> plan =
           plan::Planner(po).build(program);
-      layout = plan->layout(p);
-      image = bulk::HostBulkExecutor(*layout, plan->host_options())
-                  .run(plan->program(), inputs);
+      image = plan::run(*plan, inputs, p);
       out_run = plan::run(*plan, inputs, p, &outputs);
     } catch (const std::exception& e) {
       return fail(std::string("threw: ") + e.what());
@@ -308,8 +229,7 @@ std::optional<Divergence> run_config(const trace::Program& program,
     }
     if (config.backend != exec::Backend::kInterpreted) options.simd = config.simd;
 
-    layout = layout_for(subject, p, config);
-    const bulk::HostBulkExecutor executor(*layout, options);
+    const bulk::HostBulkExecutor executor(p, options);
     try {
       image = executor.run(subject, inputs);
       out_run = executor.run_outputs(subject, inputs, outputs);
@@ -324,21 +244,20 @@ std::optional<Divergence> run_config(const trace::Program& program,
     }
   }
 
-  // Compare the full final memory image lane by lane — not just the declared
-  // output window — so a wrong scratch word is a failure too.
+  // Compare every lane's whole final memory — not just the declared output
+  // window — so a wrong scratch word is a failure too.  Both are lane-major.
   const std::size_t n = program.memory_words;
+  if (image.memory.size() != p * n) return fail("image path returned the wrong size");
   for (std::size_t j = 0; j < p; ++j) {
     for (std::size_t i = 0; i < n; ++i) {
-      const Word got = image.memory[layout->global(static_cast<Addr>(i), j)];
+      const Word got = image.memory[j * n + i];
       const Word expected = oracle[j * n + i];
       if (got != expected) return value_divergence(config, "", j, i, expected, got);
     }
   }
 
   // The output path: each lane's output region, word for word.
-  if (out_run.backend != exec::Backend::kInterpreted && !out_run.memory.empty()) {
-    return fail("output path built an arranged image");
-  }
+  if (!out_run.memory.empty()) return fail("output path built a memory image");
   const std::size_t ow = program.output_words;
   if (outputs.size() != p * ow) return fail("output path returned the wrong size");
   for (std::size_t j = 0; j < p; ++j) {
@@ -369,7 +288,7 @@ std::optional<Divergence> check_program(const trace::Program& program,
 }
 
 std::vector<std::size_t> boundary_lane_counts() {
-  // Straddle every vector width (2/4/8), the default blocked splits, and the
+  // Straddle every vector width (2/4/8), the odd tile size, and the
   // two-worker chunk seam.
   return {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65};
 }

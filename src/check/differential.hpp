@@ -2,22 +2,21 @@
 // configuration available on the host, with trace::interpret as the oracle.
 //
 // The paper's Theorem 2 rests on the trace being data-independent: every
-// execution path — interpreted or compiled, any arrangement, any SIMD tier,
-// any lane-tile split — must produce bit-identical memory images, and the
-// output path (HostBulkExecutor::run_outputs, which builds no arranged
-// image) bit-identical output regions.  This header enumerates that path
-// matrix and checks a program against all of it.
+// execution path — interpreted, compiled or JIT, any SIMD tier, any
+// lane-tile split, any worker count — must produce bit-identical lane-major
+// memory images (HostBulkExecutor::run), and the output path
+// (HostBulkExecutor::run_outputs) bit-identical output regions.  This
+// header enumerates that path matrix and checks a program against all of it.
 //
 // Matrix axes:
-//   backend      interpreted, compiled (plus compile-budget straddles: a
+//   backend      interpreted, compiled, JIT (plus compile-budget straddles: a
 //                fresh-cache compile at budget == steps-1 must fall back to
 //                the interpreter, at budget == steps must compile)
-//   arrangement  row-wise, column-wise, blocked(B) for divisors B of p
-//                (including B that are not vector-width multiples, so tile
-//                write-backs straddle blocks) and one non-divisor B
 //   SIMD tier    every tier simd_isa_supported() on this host/build
 //   tile_lanes   auto, 1 (scalar-tail-only), and a deliberately odd size
-//   workers      1 and 2 (chunk-boundary seams)
+//   workers      1, 2 (chunk-boundary seams) and 8 (scheduler stress)
+//   planner      the full planning path, whatever arrangement it picks for
+//                the simulated machine
 #pragma once
 
 #include <cstdint>
@@ -28,7 +27,6 @@
 
 #include "common/simd_isa.hpp"
 #include "common/types.hpp"
-#include "bulk/layout.hpp"
 #include "exec/backend.hpp"
 #include "trace/program.hpp"
 
@@ -37,10 +35,6 @@ namespace obx::check {
 /// One point of the execution matrix.
 struct ExecConfig {
   exec::Backend backend = exec::Backend::kInterpreted;
-  bulk::Arrangement arrangement = bulk::Arrangement::kColumnWise;
-  /// Arrangement parameter: block size (kBlocked; a non-divisor of p pads
-  /// the last block) or pad stride (kConflictFree).
-  std::size_t block = 0;
   SimdIsa simd = SimdIsa::kScalar;
   std::size_t tile_lanes = 0;  ///< 0 = auto
   /// Compile budget.  0 = default.  Nonzero budgets run against a fresh
@@ -52,11 +46,9 @@ struct ExecConfig {
   std::optional<exec::Backend> expect_backend;
   unsigned workers = 1;
   /// Route the run through plan::Planner (arrangement search) instead of a
-  /// directly-constructed executor; `tune` additionally turns the measuring
-  /// auto-tuner on.  Whatever arrangement the search picks must still be
-  /// bit-identical to the oracle.
+  /// directly-constructed executor.  Whatever the plan decides must still
+  /// be bit-identical to the oracle.
   bool via_planner = false;
-  bool tune = false;
 
   std::string name() const;
 };
@@ -85,9 +77,9 @@ std::vector<Word> oracle_memory(const trace::Program& program,
                                 std::span<const Word> inputs, std::size_t p);
 
 /// Runs one config through the image path and the output path and compares
-/// them against the oracle's lane-major memory (the whole image, then each
-/// lane's output region; an output-path divergence names the config with an
-/// "/outputs" suffix).
+/// them against the oracle's lane-major memory (every word of every lane,
+/// then each lane's output region; an output-path divergence names the
+/// config with an "/outputs" suffix).
 std::optional<Divergence> run_config(const trace::Program& program,
                                      std::span<const Word> inputs, std::size_t p,
                                      std::span<const Word> oracle,
@@ -100,7 +92,7 @@ std::optional<Divergence> check_program(const trace::Program& program,
                                         std::span<const Word> inputs, std::size_t p,
                                         std::size_t* configs_run = nullptr);
 
-/// Occupancies that straddle the vector-width, tile and block boundaries.
+/// Occupancies that straddle the vector-width, tile and chunk boundaries.
 std::vector<std::size_t> boundary_lane_counts();
 
 }  // namespace obx::check

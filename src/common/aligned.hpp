@@ -28,7 +28,7 @@ namespace obx {
 inline constexpr std::size_t kSimdAlignBytes = 64;
 
 /// Allocations at least this large get the transparent-huge-page hint when
-/// OBX_THP is on: a figure-scale arranged memory image (p·n words) spans
+/// OBX_THP is on: a figure-scale memory image (p·n words) spans
 /// thousands of 4K pages, and 2M mappings cut the TLB miss rate of the
 /// lane-stride sweeps.  2M = one x86-64 huge page.
 inline constexpr std::size_t kHugePageHintBytes = std::size_t{2} << 20;

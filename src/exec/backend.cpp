@@ -6,6 +6,7 @@
 #include "common/aligned.hpp"
 #include "common/check.hpp"
 #include "exec/backend_detail.hpp"
+#include "trace/step.hpp"
 
 namespace obx::exec {
 
@@ -52,54 +53,32 @@ void copy_outputs(const Tile& t, Addr offset, std::size_t ow, Word* dst) {
   }
 }
 
-/// Image epilogue: every row back into the arranged image.  Within one block
-/// of a blocked layout — and across the whole tile for the other
-/// arrangements — tile lane j of word a sits lane_stride() words after lane
-/// j - 1, so each row is one strided (mostly unit-stride) copy.
-void write_image(const Tile& t, std::size_t n, Lane base, const bulk::Layout& layout,
-                 Word* memory) {
-  const std::size_t stride = layout.lane_stride();
-  const bool blocked = layout.arrangement() == bulk::Arrangement::kBlocked;
-  for (std::size_t j0 = 0; j0 < t.len;) {
-    const Lane lane = base + j0;
-    const std::size_t j1 =
-        blocked ? std::min(t.len, j0 + layout.block() - lane % layout.block()) : t.len;
-    for (std::size_t a = 0; a < n; ++a) {
-      const Word* src = mem_ref(t, static_cast<Addr>(a)) + j0;
-      Word* dst = memory + layout.global(static_cast<Addr>(a), lane);
-      if (stride == 1) {
-        std::copy(src, src + (j1 - j0), dst);
-      } else {
-        for (std::size_t j = 0; j < j1 - j0; ++j) dst[j * stride] = src[j];
-      }
-    }
-    j0 = j1;
-  }
-}
-
 }  // namespace
 
-void run_tiles(const CompiledProgram& compiled, std::span<const Word> inputs,
-               std::size_t input_words, const TileSink& sink, Lane lane_begin,
-               Lane lane_end, std::size_t tile_lanes,
+void run_tiles(std::size_t memory_words, std::size_t reg_count,
+               std::span<const Word> inputs, std::size_t input_words,
+               const TileSink& sink, Lane lane_begin, Lane lane_end,
+               std::size_t tile_lanes, bool reuse_scratch,
                const std::function<void(const Tile&)>& run_segments) {
   OBX_CHECK(tile_lanes > 0, "tile size must be positive");
-  const std::size_t n = compiled.memory_words();
+  const std::size_t n = memory_words;
   OBX_CHECK(input_words <= n, "inputs larger than program memory");
-  if (sink.layout != nullptr) {
-    OBX_CHECK(sink.layout->words_per_input() == n,
-              "compiled program sized for a different layout");
-  } else {
-    OBX_CHECK(sink.offset + sink.words <= n, "output region beyond program memory");
-  }
-  const std::size_t reg_count = std::max<std::size_t>(compiled.register_count(), 1);
-  // Grow-only thread-local scratch for the register tile and the tile image:
-  // with the CorePool running one task per tile, this is the per-tile hot
-  // path, and a heap allocation here would dominate small tiles.  Only the
-  // first reg_count·T and n·T words are used, and both are re-initialised
-  // per tile, so a larger earlier program cannot leak state into this one.
-  thread_local aligned_vector<Word> regs;
-  thread_local aligned_vector<Word> image;
+  OBX_CHECK(sink.offset + sink.words <= n, "output region beyond program memory");
+  reg_count = std::max<std::size_t>(reg_count, 1);
+  // Compiled and JIT tiles use grow-only thread-local scratch for the
+  // register tile and the tile image: with the CorePool running one task per
+  // tile, this is the per-tile hot path, and a heap allocation here would
+  // dominate small tiles.  Only the first reg_count·T and n·T words are
+  // used, and both are re-initialised per tile, so a larger earlier program
+  // cannot leak state into this one.  An interpreted chunk is one tile many
+  // times that size, so its scratch belongs to this call and is freed on
+  // return instead of staying pinned in the thread.
+  thread_local aligned_vector<Word> thread_regs;
+  thread_local aligned_vector<Word> thread_image;
+  aligned_vector<Word> own_regs;
+  aligned_vector<Word> own_image;
+  aligned_vector<Word>& regs = reuse_scratch ? thread_regs : own_regs;
+  aligned_vector<Word>& image = reuse_scratch ? thread_image : own_image;
   const std::size_t regs_needed = reg_count * tile_lanes;
   if (regs.size() < regs_needed) regs.resize(regs_needed);
   if (image.size() < n * tile_lanes) image.resize(n * tile_lanes);
@@ -113,11 +92,7 @@ void run_tiles(const CompiledProgram& compiled, std::span<const Word> inputs,
     stage_tile(t, inputs.data() + base * input_words, input_words, n);
     std::fill_n(regs.data(), regs_needed, Word{0});
     run_segments(t);
-    if (sink.layout != nullptr) {
-      write_image(t, n, base, *sink.layout, sink.dst.data());
-    } else {
-      copy_outputs(t, sink.offset, sink.words, sink.dst.data() + base * sink.words);
-    }
+    copy_outputs(t, sink.offset, sink.words, sink.dst.data() + base * sink.words);
   }
 }
 
@@ -170,30 +145,23 @@ std::string to_string(Backend backend) {
 }
 
 std::size_t resolve_tile_lanes(std::size_t requested, std::size_t reg_count,
-                               const bulk::Layout& layout, std::size_t vector_width) {
+                               std::size_t words_per_lane, std::size_t lanes,
+                               std::size_t vector_width) {
   const std::size_t w = std::max<std::size_t>(vector_width, 1);
   std::size_t tile = requested;
   if (tile == 0) {
     const std::size_t reg_words = std::max<std::size_t>(reg_count, 1);
-    const std::size_t image_words = std::max<std::size_t>(layout.words_per_input(), 1);
+    const std::size_t image_words = std::max<std::size_t>(words_per_lane, 1);
     tile = std::min(kRegTileBytes / (sizeof(Word) * reg_words),
                     kTileImageBytes / (sizeof(Word) * image_words));
     // Power of two in [32, 1024]: already a multiple of every vector width.
     tile = std::clamp<std::size_t>(std::bit_floor(tile), 32, 1024);
   }
-  tile = std::max<std::size_t>(std::min(tile, layout.lanes()), 1);
+  tile = std::max<std::size_t>(std::min(tile, lanes), 1);
   if (tile >= w) tile -= tile % w;  // round down to a vector-width multiple
   // Degenerate inputs (p < vector width, reg_count == 0) must still yield a
   // runnable scalar tile: run_tiles refuses tile_lanes == 0.
   return tile;
-}
-
-TileSink TileSink::image(const bulk::Layout& layout, std::span<Word> memory) {
-  OBX_CHECK(memory.size() == layout.total_words(), "memory image sized for another layout");
-  TileSink s;
-  s.layout = &layout;
-  s.dst = memory;
-  return s;
 }
 
 TileSink TileSink::outputs(std::span<Word> out, Addr offset, std::size_t words) {
@@ -208,12 +176,49 @@ void run_compiled_chunk(const CompiledProgram& compiled, std::span<const Word> i
                         std::size_t input_words, const TileSink& sink, Lane lane_begin,
                         Lane lane_end, std::size_t tile_lanes, SimdIsa isa) {
   const SegmentFn segment_fn = segment_fn_for(isa);
-  detail::run_tiles(compiled, inputs, input_words, sink, lane_begin, lane_end, tile_lanes,
-                    [&](const Tile& t) {
+  detail::run_tiles(compiled.memory_words(), compiled.register_count(), inputs,
+                    input_words, sink, lane_begin, lane_end, tile_lanes,
+                    /*reuse_scratch=*/true, [&](const Tile& t) {
                       for (const CompiledProgram::Segment& seg : compiled.segments()) {
                         segment_fn(t, seg);
                       }
                     });
+}
+
+void run_interpreted_chunk(const trace::Program& program, std::span<const Word> inputs,
+                           const TileSink& sink, Lane lane_begin, Lane lane_end,
+                           trace::StepCounts* counts) {
+  const std::size_t n = program.memory_words;
+  detail::run_tiles(
+      n, program.register_count, inputs, program.input_words, sink, lane_begin, lane_end,
+      std::max<std::size_t>(lane_end - lane_begin, 1), /*reuse_scratch=*/false,
+      [&](const Tile& t) {
+        trace::StepCounts local;
+        for (const trace::Step& s : program.stream()) {
+          switch (s.kind) {
+            case trace::StepKind::kLoad:
+              OBX_CHECK(s.addr < n, "load beyond program memory");
+              std::copy_n(detail::mem_ref(t, s.addr), t.len, detail::reg(t, s.dst));
+              ++local.loads;
+              break;
+            case trace::StepKind::kStore:
+              OBX_CHECK(s.addr < n, "store beyond program memory");
+              std::copy_n(detail::reg(t, s.src0), t.len, detail::mem_ref(t, s.addr));
+              ++local.stores;
+              break;
+            case trace::StepKind::kAlu:
+              trace::bulk_alu(s.op, detail::reg(t, s.dst), detail::reg(t, s.src0),
+                              detail::reg(t, s.src1), detail::reg(t, s.src2), t.len);
+              ++local.alu;
+              break;
+            case trace::StepKind::kImm:
+              std::fill_n(detail::reg(t, s.dst), t.len, s.imm);
+              ++local.imm;
+              break;
+          }
+        }
+        if (counts != nullptr) *counts = local;
+      });
 }
 
 }  // namespace obx::exec

@@ -1,14 +1,15 @@
-// Lane-tiled execution of a CompiledProgram.
+// Lane-tiled execution: one tile driver for every host engine.
 //
-// Where the interpreted executor sweeps the whole worker chunk once per step
-// (streaming the full register file through cache every time), the compiled
-// backend walks lane tiles.  Each tile of T lanes runs in per-thread scratch:
-// its inputs are transposed into a tile image of n × T words (canonical word
-// a of tile lane j at a·T + j, sized to stay L2-resident), a register tile of
-// reg_count × T words (L1-resident) is zeroed, and *every* fused op of every
-// segment runs over that tile before the next one starts.  Dispatch cost is
-// amortised by superinstruction fusion; the arranged p·n image is touched at
-// most once per tile, by the epilogue (see TileSink).
+// Every host engine walks lane tiles through the same driver
+// (detail::run_tiles).  Each tile of T lanes runs in scratch private to its thread: its
+// inputs are transposed into a tile image of n × T words (canonical word a
+// of tile lane j at a·T + j), a register tile of reg_count × T words is
+// zeroed, a segment runner applies the whole program to the tile, and the
+// epilogue (TileSink) copies a window of each lane's words out, lane-major.
+// The compiled and JIT runners execute fused segments over cache-sized tiles;
+// the interpreted runner drains the program stream once over one coarse
+// chunk.  No host engine builds an arranged p·n image: the data arrangement
+// is priced only on the simulated machine (bulk::Layout).
 #pragma once
 
 #include <cstdint>
@@ -17,8 +18,8 @@
 
 #include "common/simd_isa.hpp"
 #include "common/types.hpp"
-#include "bulk/layout.hpp"
 #include "exec/compiled_program.hpp"
+#include "trace/program.hpp"
 
 namespace obx::exec {
 
@@ -43,33 +44,28 @@ inline constexpr std::size_t kTileImageBytes = 256 * 1024;
 
 /// Picks a lane-tile size: `requested` if nonzero, else the largest power of
 /// two in [32, 1024] keeping the register tile within kRegTileBytes and the
-/// tile image (layout.words_per_input() × T words) within kTileImageBytes —
-/// a program with a large memory image gets the 32-lane floor.  A tile at
-/// least `vector_width` lanes wide is rounded down to a multiple of it so
-/// only the final tile of a chunk has a scalar tail; smaller requests are
-/// honoured as-is.  Tiles never exceed layout.lanes() and need not respect
-/// the arrangement (no kernel addresses the arranged image).  Always returns
-/// >= 1, even for degenerate inputs (p < vector_width, reg_count == 0): the
-/// worst case is a valid scalar tile, never 0.
+/// tile image (words_per_lane × T words) within kTileImageBytes — a program
+/// with a large memory image gets the 32-lane floor.  A tile at least
+/// `vector_width` lanes wide is rounded down to a multiple of it so only the
+/// final tile of a chunk has a scalar tail; smaller requests are honoured
+/// as-is.  Tiles never exceed `lanes`.  Always returns >= 1, even for
+/// degenerate inputs (p < vector_width, reg_count == 0): the worst case is a
+/// valid scalar tile, never 0.
 std::size_t resolve_tile_lanes(std::size_t requested, std::size_t reg_count,
-                               const bulk::Layout& layout,
+                               std::size_t words_per_lane, std::size_t lanes,
                                std::size_t vector_width = 1);
 
 /// Where each lane tile's results go once its segments have run (the tile
-/// epilogue).
+/// epilogue): words [offset, offset + words) of lane j are copied to
+/// dst[j * words ...], lane-major.  outputs(memory, 0, n) keeps every word
+/// of every lane (the image path); the program's output window keeps only
+/// the outputs.
 struct TileSink {
-  /// Image path: every canonical word of every lane is written back through
-  /// `layout` into `memory`, the zero-filled arranged image
-  /// (layout.total_words() words; padding words are never written).
-  static TileSink image(const bulk::Layout& layout, std::span<Word> memory);
-  /// Output path: words [offset, offset + words) of lane j are copied to
-  /// out[j * words ...] (lane-major); no arranged image exists at all.
   static TileSink outputs(std::span<Word> out, Addr offset, std::size_t words);
 
-  const bulk::Layout* layout = nullptr;  ///< set on the image path only
   std::span<Word> dst;
-  Addr offset = 0;                       ///< output path only
-  std::size_t words = 0;                 ///< output path only
+  Addr offset = 0;
+  std::size_t words = 0;
 };
 
 /// Executes `compiled` over lanes [lane_begin, lane_end), tile by tile (see
@@ -85,5 +81,16 @@ void run_compiled_chunk(const CompiledProgram& compiled, std::span<const Word> i
                         std::size_t input_words, const TileSink& sink, Lane lane_begin,
                         Lane lane_end, std::size_t tile_lanes,
                         SimdIsa isa = active_simd_isa());
+
+/// The interpreted engine: runs `program` over lanes [lane_begin, lane_end)
+/// as one tile, draining program.stream() once and applying each step across
+/// the chunk (ALU steps through trace::bulk_alu).  Same inputs, sink and
+/// thread-safety contract as run_compiled_chunk, but the chunk's tile image
+/// and register tile are allocated per call and freed on return: a chunk is
+/// far larger than a compiled tile and must not stay pinned in the calling
+/// thread.  When `counts` is non-null it receives the steps of one stream.
+void run_interpreted_chunk(const trace::Program& program, std::span<const Word> inputs,
+                           const TileSink& sink, Lane lane_begin, Lane lane_end,
+                           trace::StepCounts* counts = nullptr);
 
 }  // namespace obx::exec

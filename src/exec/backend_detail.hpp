@@ -1,9 +1,9 @@
-// Shared tile plumbing for the compiled backend's translation units.
+// Shared tile plumbing for the host engines' translation units.
 //
-// backend.cpp (the tile loop and dispatch), the JIT's run_jit_chunk and the
-// per-ISA kernel TUs (backend_w1/w2/avx2/avx512.cpp) all address the same
-// lane-major register tile and tile image; the structs and address math live
-// here so they agree by construction.  reg/mem_ref are force-inlined for the
+// backend.cpp (the tile loop, dispatch and the interpreted runner), the
+// JIT's run_jit_chunk and the per-ISA kernel TUs (backend_w1/w2/avx2/
+// avx512.cpp) all address the same lane-major register tile and tile image;
+// the structs and address math live here so they agree by construction.  reg/mem_ref are force-inlined for the
 // same ODR reason as simd.hpp: they are compiled under different target
 // flags per TU.
 #pragma once
@@ -20,11 +20,11 @@
 
 namespace obx::exec::detail {
 
-/// One lane tile of `len` lanes, staged in per-thread scratch: an L1-resident
-/// register tile (register r of tile lane j at regs[r * cap + j]) and an
-/// L2-resident tile image (canonical word a of tile lane j at
-/// mem[a * cap + j]).  Every lane is independent (Theorem 2), so a tile
-/// needs nothing beyond its own lanes' words.
+/// One lane tile of `len` lanes, staged in per-thread scratch: a register
+/// tile (register r of tile lane j at regs[r * cap + j]; L1-resident on the
+/// compiled engines) and a tile image (canonical word a of tile lane j at
+/// mem[a * cap + j]; L2-resident there).  Every lane is independent
+/// (Theorem 2), so a tile needs nothing beyond its own lanes' words.
 struct Tile {
   Word* regs = nullptr;
   Word* mem = nullptr;
@@ -41,14 +41,19 @@ OBX_ALWAYS_INLINE Word* mem_ref(const Tile& t, Addr a) {
   return t.mem + std::size_t{a} * t.cap;
 }
 
-/// The tile loop behind run_compiled_chunk and run_jit_chunk: for each
-/// tile of `tile_lanes` lanes in [lane_begin, lane_end) it transposes the
-/// inputs into the tile image, zeroes the rest of the image and the register
-/// tile, calls `run_segments` (every segment, in order), and hands the
-/// results to `sink`.  Defined in backend.cpp.
-void run_tiles(const CompiledProgram& compiled, std::span<const Word> inputs,
-               std::size_t input_words, const TileSink& sink, Lane lane_begin,
-               Lane lane_end, std::size_t tile_lanes,
+/// The tile loop behind every segment runner (run_compiled_chunk,
+/// run_jit_chunk, run_interpreted_chunk): for each tile of `tile_lanes`
+/// lanes in [lane_begin, lane_end) it transposes the inputs into the tile
+/// image (memory_words rows), zeroes the rest of the image and the register
+/// tile (reg_count rows), calls `run_segments` (the whole program, in order),
+/// and hands the results to `sink`.  With `reuse_scratch` the register tile
+/// and tile image live in grow-only thread_local scratch (cache-sized tiles,
+/// one per pool task); without it they are allocated for this call and freed
+/// on return.  Defined in backend.cpp.
+void run_tiles(std::size_t memory_words, std::size_t reg_count,
+               std::span<const Word> inputs, std::size_t input_words,
+               const TileSink& sink, Lane lane_begin, Lane lane_end,
+               std::size_t tile_lanes, bool reuse_scratch,
                const std::function<void(const Tile&)>& run_segments);
 
 // Per-ISA segment bodies.  Each is defined in exactly one translation unit,

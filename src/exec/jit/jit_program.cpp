@@ -159,8 +159,9 @@ std::shared_ptr<const JitProgram> JitProgram::get_or_emit(
 void run_jit_chunk(const JitProgram& jit, std::span<const Word> inputs,
                    std::size_t input_words, const TileSink& sink, Lane lane_begin,
                    Lane lane_end, std::size_t tile_lanes) {
-  detail::run_tiles(jit.compiled(), inputs, input_words, sink, lane_begin, lane_end,
-                    tile_lanes, [&](const detail::Tile& t) {
+  detail::run_tiles(jit.compiled().memory_words(), jit.compiled().register_count(), inputs,
+                    input_words, sink, lane_begin, lane_end, tile_lanes,
+                    /*reuse_scratch=*/true, [&](const detail::Tile& t) {
                       for (const JitProgram::SegmentEntry entry : jit.entries()) entry(&t);
                     });
 }

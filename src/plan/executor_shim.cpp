@@ -17,7 +17,7 @@
 namespace obx::bulk {
 
 HostBulkExecutor::HostBulkExecutor(const plan::ExecutionPlan& plan, std::size_t lanes)
-    : HostBulkExecutor(plan.layout(lanes), plan.host_options()) {}
+    : HostBulkExecutor(lanes, plan.host_options()) {}
 
 StreamingExecutor::StreamingExecutor(const plan::ExecutionPlan& plan,
                                      std::size_t max_resident_lanes)

@@ -58,18 +58,12 @@ std::uint64_t PlanOptions::fingerprint() const {
             ? static_cast<std::uint64_t>(*arrangement) + 1
             : 0);
   d.mix(arrangement_param);
-  // The tuner knobs are decisions; the injected clock is an observation
-  // channel and stays out.
-  d.mix_bool(tune.measure);
-  d.mix(tune.trials);
-  d.mix(tune.lanes);
   return d.h;
 }
 
 void PlanOptions::validate() const {
   machine.validate();
   OBX_CHECK(reference_lanes > 0, "reference lane count must be positive");
-  OBX_CHECK(tune.trials > 0, "tuner trial count must be positive");
 }
 
 std::string ArrangementCandidate::name() const {
@@ -121,8 +115,6 @@ bulk::StreamingExecutor::Options ExecutionPlan::streaming_options(
   return bulk::StreamingExecutor::Options{
       .max_resident_lanes = max_resident_lanes,
       .workers = workers_,
-      .arrangement = arrangement_,
-      .arrangement_param = arrangement_param_,
       .backend = backend_,
       .tile_lanes = options_.tile_lanes,
       .compile_budget_steps = options_.compile_budget_steps,
@@ -212,14 +204,13 @@ std::string ExecutionPlan::describe() const {
   if (pv.arrangement_forced) {
     os << " (forced)\n";
   } else {
-    os << (pv.tuned ? " (tuned over " : " (searched ") << pv.candidates.size()
+    os << " (searched " << pv.candidates.size()
        << " candidates, margin=" << to_u64(pv.margin_units) << " units @ "
        << pv.reference_lanes << " lanes)\n";
     for (const ArrangementCandidate& c : pv.candidates) {
       std::string label = c.name();
       if (label.size() < 17) label.resize(17, ' ');
       os << "    candidate : " << label << " sim=" << to_u64(c.sim_units) << " units";
-      if (c.measured_ns != 0) os << " measured=" << c.measured_ns << "ns";
       if (c.chosen) os << " *";
       os << "\n";
     }

@@ -13,10 +13,10 @@
 //     disabled, the program is too long to capture, or no pass won),
 //   - the shared exec::CompiledProgram artifact (also memoised through the
 //     program's exec_cache slot, so executors pick it up for free),
-//   - the chosen bulk::Arrangement (a search over row / column / blocked /
-//     conflict-free: simulated DMM+UMM units as the prior at a reference
-//     occupancy, optional bounded micro-measurements as the posterior —
-//     unless forced),
+//   - the chosen bulk::Arrangement for the simulated machine (a search over
+//     row / column / blocked / conflict-free by simulated DMM+UMM units at a
+//     reference occupancy, unless forced; host engines are
+//     arrangement-free),
 //   - the lane-tile knob, resolved backend, and worker count,
 //   - a memoised per-occupancy simulated-UMM-units estimate, and
 //   - a provenance record of which passes and decisions fired.
@@ -63,8 +63,7 @@ namespace obx::plan {
 
 /// Every input-independent knob of the optimise → compile → arrange → tile
 /// decision path.  En spelling throughout (`optimise`), matching
-/// `optimise_step_limit`; serve::PrepareOptions keeps the old mixed-spelling
-/// field as a deprecated alias.
+/// `optimise_step_limit`.
 struct PlanOptions {
   /// Machine the arrangement choice and simulated-units estimates target.
   umm::MachineConfig machine{.width = 32, .latency = 200};
@@ -110,27 +109,10 @@ struct PlanOptions {
   /// row-/column-wise.
   std::size_t arrangement_param = 0;
 
-  /// The measuring arrangement auto-tuner: when the search is not forced,
-  /// real micro-measurements of each candidate refine the simulated prior.
-  struct TuneOptions {
-    /// Run each candidate arrangement for real (bounded trials on all-zero
-    /// inputs — valid because the programs are oblivious) and let the best
-    /// measured time pick the winner; the simulated units stay recorded as
-    /// the prior.  Off by default: simulation alone decides.
-    bool measure = false;
-    std::size_t trials = 3;  ///< micro-measurement runs per candidate (min is kept)
-    std::size_t lanes = 0;   ///< occupancy measured at; 0 = reference_lanes
-    /// Injected monotonic nanosecond clock for deterministic tests; null =
-    /// std::chrono::steady_clock.  NOT part of the fingerprint (a clock is
-    /// an observation channel, not a decision knob).
-    std::function<std::uint64_t()> clock{};
-  };
-  TuneOptions tune{};
-
   /// Deterministic 64-bit digest of every knob above (machine included).
   /// Same options => same fingerprint, on any host.  Part of the PlanCache
-  /// key and of ExecutionPlan::fingerprint() — which is how tuned decisions
-  /// are memoised in PlanCache per (program, machine, occupancy, tune).
+  /// key and of ExecutionPlan::fingerprint() — which is how decisions are
+  /// memoised in PlanCache per (program, machine, occupancy, knobs).
   std::uint64_t fingerprint() const;
 
   /// Throws std::logic_error on an invalid machine shape or zero reference
@@ -139,14 +121,11 @@ struct PlanOptions {
 };
 
 /// One entry of the Planner's arrangement search: an arrangement (with its
-/// parameter), its simulated DMM+UMM units at the reference occupancy (the
-/// prior), and — when the tuner measured — its best wall-clock time (the
-/// posterior).
+/// parameter) and its simulated DMM+UMM units at the reference occupancy.
 struct ArrangementCandidate {
   bulk::Arrangement arrangement = bulk::Arrangement::kColumnWise;
-  std::size_t param = 0;          ///< block size / pad stride; 0 for row/column
-  TimeUnits sim_units = 0;        ///< simulated units (prior)
-  std::uint64_t measured_ns = 0;  ///< best measured trial; 0 = not measured
+  std::size_t param = 0;    ///< block size / pad stride; 0 for row/column
+  TimeUnits sim_units = 0;  ///< simulated units
   bool chosen = false;
 
   /// "column-wise", "blocked(32)", "conflict-free(4)", ... — the layout name.
@@ -184,13 +163,9 @@ struct PlanProvenance {
   /// conflict-free), exactly one marked chosen.  A forced arrangement
   /// records a single candidate.
   std::vector<ArrangementCandidate> candidates;
-  /// Winner's margin over the best rejected candidate: simulated units
-  /// normally, measured nanoseconds when the tuner decided (0 when forced
-  /// or when candidates tie).
+  /// Winner's margin over the best rejected candidate in simulated units (0
+  /// when forced or when candidates tie).
   TimeUnits margin_units = 0;
-  /// True when the measuring tuner (not the simulated prior) picked the
-  /// winner.
-  bool tuned = false;
   /// Simulated units at reference_lanes backing the arrangement choice —
   /// the row/column entries of the candidate list, kept flat for
   /// compatibility (both populated only when the choice was searched).
@@ -284,11 +259,12 @@ class ExecutionPlan {
   TimeUnits units_for_lanes(std::size_t lanes) const;
 
   /// Largest resident-lane batch that keeps one batch's working set (input
-  /// + arranged memory + registers + output per lane) within budget_words,
+  /// + memory image + registers + output per lane) within budget_words,
   /// clamped to [1, p] — the Session's batch-sizing rule, now in one place.
   std::size_t resident_lanes_for_budget(std::size_t budget_words, std::size_t p) const;
 
-  /// Layout of a bulk run at the given occupancy under the chosen arrangement.
+  /// Layout of a bulk run at the given occupancy under the chosen arrangement
+  /// on the simulated machine (host runs are lane-major at any arrangement).
   bulk::Layout layout(std::size_t lanes) const;
 
   /// The executor option structs this plan stands for.  Exists so the
@@ -322,11 +298,11 @@ class ExecutionPlan {
 };
 
 /// Plan-driven monolithic run: executes plan.program() over p lane-major
-/// inputs with the plan's arrangement/backend/tile/workers.  When `outputs`
-/// is non-null the run takes the output path (HostBulkExecutor::run_outputs):
-/// `outputs` receives the lane-major output regions and, when the compiled
-/// or JIT engine ran, the result's `memory` is empty — no arranged image is
-/// built.  With `outputs` null the result carries the full arranged image.
+/// inputs with the plan's backend/tile/workers.  When `outputs` is non-null
+/// the run takes the output path (HostBulkExecutor::run_outputs): `outputs`
+/// receives the lane-major output regions and the result's `memory` is
+/// empty.  With `outputs` null the result carries every lane's final memory,
+/// lane-major (p·n words).
 bulk::HostRunResult run(const ExecutionPlan& plan, std::span<const Word> inputs,
                         std::size_t p, std::vector<Word>* outputs = nullptr);
 

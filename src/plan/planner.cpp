@@ -1,7 +1,6 @@
 #include "plan/planner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -23,13 +22,6 @@ TimeUnits simulate(const trace::Program& program, std::size_t lanes,
   return bulk::simulate_units(program,
                               bulk::make_layout(program, lanes, arrangement, param),
                               umm::Model::kUmm, machine);
-}
-
-std::uint64_t steady_clock_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 /// Resolves the parameter of an arrangement: the forced/auto block size for
@@ -88,7 +80,6 @@ std::uint64_t plan_fingerprint(const ExecutionPlan& plan) {
   mix(static_cast<std::uint64_t>(pv.row_units));
   mix(static_cast<std::uint64_t>(pv.col_units));
   mix(plan.arrangement_param());
-  mix(pv.tuned ? 1 : 0);
   mix(static_cast<std::uint64_t>(pv.margin_units));
   mix(pv.candidates.size());
   for (const ArrangementCandidate& c : pv.candidates) {
@@ -96,8 +87,6 @@ std::uint64_t plan_fingerprint(const ExecutionPlan& plan) {
     mix(c.param);
     mix(static_cast<std::uint64_t>(c.sim_units));
     mix(c.chosen ? 1 : 0);
-    // measured_ns is wall-clock noise, not a decision — the chosen flag
-    // already captures what the measurement decided.
   }
   for (const char c : plan.program().name) mix(static_cast<unsigned char>(c));
   return h;
@@ -168,9 +157,8 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
 
   // 3. Arrange — forced, or a search over {column, row, blocked,
   //    conflict-free}: simulated DMM+UMM units at the reference occupancy
-  //    are the prior (strict-< wins, so ties keep the earlier candidate —
-  //    column-wise, the Theorem 3 time-optimal layout), optionally refined
-  //    by bounded real micro-measurements (the tuner's posterior).
+  //    decide (strict-< wins, so ties keep the earlier candidate —
+  //    column-wise, the Theorem 3 time-optimal layout).
   TimeUnits chosen_units = 0;
   if (options_.arrangement.has_value()) {
     pv.arrangement_forced = true;
@@ -204,64 +192,18 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
       if (pv.candidates[i].sim_units < pv.candidates[best].sim_units) best = i;
     }
 
-    if (options_.tune.measure) {
-      // Posterior: run each candidate for real (all-zero inputs — the
-      // programs are oblivious, so timing is input-independent), keep the
-      // best of `trials`, and let the measurements pick the winner.  The
-      // injected clock keeps tests deterministic.
-      auto clock = options_.tune.clock;
-      if (!clock) clock = steady_clock_ns;
-      const std::size_t lanes =
-          options_.tune.lanes == 0 ? options_.reference_lanes : options_.tune.lanes;
-      const std::vector<Word> zeros(lanes * plan->program_.input_words, Word{0});
-      bulk::HostBulkExecutor::Options ho;
-      ho.workers = plan->workers_;
-      ho.backend = plan->backend_;
-      ho.tile_lanes = options_.tile_lanes;
-      ho.compile_budget_steps = options_.compile_budget_steps;
-      for (ArrangementCandidate& c : pv.candidates) {
-        const bulk::HostBulkExecutor exec(
-            bulk::make_layout(plan->program_, lanes, c.arrangement, c.param), ho);
-        std::uint64_t best_ns = std::numeric_limits<std::uint64_t>::max();
-        for (std::size_t t = 0; t < options_.tune.trials; ++t) {
-          const std::uint64_t t0 = clock();
-          exec.run(plan->program_, zeros);
-          const std::uint64_t t1 = clock();
-          best_ns = std::min(best_ns, t1 > t0 ? t1 - t0 : std::uint64_t{0});
-        }
-        // 0 is the "not measured" sentinel; a sub-ns (or clock-stuck) trial
-        // still records as measured.
-        c.measured_ns = std::max<std::uint64_t>(best_ns, 1);
-      }
-      pv.tuned = true;
-      best = 0;
-      for (std::size_t i = 1; i < pv.candidates.size(); ++i) {
-        if (pv.candidates[i].measured_ns < pv.candidates[best].measured_ns) best = i;
-      }
-    }
-
     pv.candidates[best].chosen = true;
     plan->arrangement_ = pv.candidates[best].arrangement;
     plan->arrangement_param_ = pv.candidates[best].param;
     chosen_units = pv.candidates[best].sim_units;
 
-    // Winner's margin over the best rejected candidate: simulated units
-    // normally, measured nanoseconds when the tuner decided (clamped at 0 —
-    // a tuned winner may have a worse prior).
-    std::uint64_t margin = std::numeric_limits<std::uint64_t>::max();
+    // Winner's margin over the best rejected candidate, in simulated units
+    // (never negative: the winner has the fewest).
+    pv.margin_units = std::numeric_limits<TimeUnits>::max();
     for (std::size_t i = 0; i < pv.candidates.size(); ++i) {
       if (i == best) continue;
-      const std::uint64_t winner_m =
-          pv.tuned ? pv.candidates[best].measured_ns
-                   : static_cast<std::uint64_t>(pv.candidates[best].sim_units);
-      const std::uint64_t other_m =
-          pv.tuned ? pv.candidates[i].measured_ns
-                   : static_cast<std::uint64_t>(pv.candidates[i].sim_units);
-      margin = std::min(margin, other_m > winner_m ? other_m - winner_m : std::uint64_t{0});
+      pv.margin_units = std::min(pv.margin_units, pv.candidates[i].sim_units - chosen_units);
     }
-    pv.margin_units = margin == std::numeric_limits<std::uint64_t>::max()
-                          ? 0
-                          : static_cast<TimeUnits>(margin);
   }
   plan->units_by_lanes_.emplace(options_.reference_lanes, chosen_units);
 
@@ -276,8 +218,8 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
           ? plan->compiled_->register_count()
           : std::max<std::size_t>(plan->program_.register_count, 1);
   pv.resolved_tile_lanes =
-      exec::resolve_tile_lanes(options_.tile_lanes, reg_count,
-                               plan->layout(options_.reference_lanes), pv.simd_width);
+      exec::resolve_tile_lanes(options_.tile_lanes, reg_count, plan->program_.memory_words,
+                               options_.reference_lanes, pv.simd_width);
 
   // 5. Workers — resolve the knob against the shared CorePool's topology
   //    (0 = one lane-consumer per pool worker) and record both sides: how

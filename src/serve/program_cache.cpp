@@ -8,12 +8,11 @@ plan::PlanOptions PrepareOptions::plan_options() const {
   plan::PlanOptions po;
   po.machine = machine;
   po.reference_lanes = reference_lanes;
-  po.optimise = optimize.value_or(optimise);
+  po.optimise = optimise;
   po.optimise_step_limit = optimise_step_limit;
   po.compile = compile;
   po.compile_budget_steps = compile_budget_steps;
   po.workers = workers;
-  po.tune = tune;
   return po;
 }
 

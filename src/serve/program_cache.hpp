@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,8 +27,7 @@
 namespace obx::serve {
 
 /// Serving-facing view of plan::PlanOptions (en spelling throughout,
-/// aligned with PlanOptions; the historical mixed-spelling `optimize` field
-/// survives as a deprecated alias).
+/// aligned with PlanOptions).
 struct PrepareOptions {
   /// Machine the arrangement choice and simulated-units estimates target.
   umm::MachineConfig machine{.width = 32, .latency = 200};
@@ -46,19 +44,6 @@ struct PrepareOptions {
   /// Host threads inside one batch's executor (the service maps its
   /// workers_per_batch here; the pool supplies cross-batch parallelism).
   unsigned workers = 1;
-
-  /// The measuring arrangement auto-tuner (plan::PlanOptions::TuneOptions):
-  /// when tune.measure is set, registration refines the simulated
-  /// arrangement prior with bounded real micro-measurements of each
-  /// candidate — registration gets slower by trials x candidates runs, every
-  /// batch afterwards runs on the measured winner.  tune.lanes defaults to
-  /// reference_lanes (the occupancy the service is tuned for).
-  plan::PlanOptions::TuneOptions tune{};
-
-  /// Deprecated alias for `optimise` (the pre-plan mixed en/em spelling that
-  /// clashed with `optimise_step_limit`).  When set it overrides `optimise`;
-  /// kept so downstream code compiles.  Will be removed.
-  std::optional<bool> optimize;
 
   /// The canonical planning options this struct stands for.
   plan::PlanOptions plan_options() const;

@@ -96,32 +96,20 @@ TEST(FuzzGenerator, EdgeWordPoolHasTheNastyPatterns) {
 
 TEST(FuzzMatrix, CoversEveryAxis) {
   const auto matrix = check::config_matrix(12, 100);
-  bool interpreted = false, compiled = false;
-  bool row = false, col = false, blocked = false, ragged = false;
-  bool conflict_free = false, planner_searched = false, planner_tuned = false;
-  bool tile1 = false, tile3 = false, workers2 = false, scalar = false;
+  bool interpreted = false, compiled = false, jit = false, planner = false;
+  bool tile1 = false, tile3 = false, workers2 = false, workers8 = false, scalar = false;
   bool straddle_under = false, straddle_exact = false;
   std::set<std::string> names;
   for (const check::ExecConfig& c : matrix) {
     EXPECT_TRUE(names.insert(c.name()).second) << "duplicate " << c.name();
     interpreted |= c.backend == exec::Backend::kInterpreted;
     compiled |= c.backend == exec::Backend::kCompiled;
-    row |= c.arrangement == bulk::Arrangement::kRowWise;
-    col |= c.arrangement == bulk::Arrangement::kColumnWise;
-    if (c.arrangement == bulk::Arrangement::kBlocked) {
-      blocked = true;
-      EXPECT_NE(c.block, 0u);
-      ragged |= 12u % c.block != 0;  // padded last block
-    }
-    if (c.arrangement == bulk::Arrangement::kConflictFree) {
-      conflict_free = true;
-      EXPECT_NE(c.block, 0u);  // pad stride
-    }
-    planner_searched |= c.via_planner && !c.tune;
-    planner_tuned |= c.via_planner && c.tune;
+    jit |= c.backend == exec::Backend::kJit;
+    planner |= c.via_planner;
     tile1 |= c.tile_lanes == 1;
     tile3 |= c.tile_lanes == 3;
     workers2 |= c.workers == 2;
+    workers8 |= c.workers == 8;
     scalar |= c.backend == exec::Backend::kCompiled && c.simd == SimdIsa::kScalar;
     if (c.expect_backend.has_value()) {
       straddle_under |= *c.expect_backend == exec::Backend::kInterpreted &&
@@ -132,16 +120,12 @@ TEST(FuzzMatrix, CoversEveryAxis) {
   }
   EXPECT_TRUE(interpreted);
   EXPECT_TRUE(compiled);
-  EXPECT_TRUE(row);
-  EXPECT_TRUE(col);
-  EXPECT_TRUE(blocked);
-  EXPECT_TRUE(ragged) << "a non-divisor block must exercise the padded tail";
-  EXPECT_TRUE(conflict_free);
-  EXPECT_TRUE(planner_searched) << "arrangement-search path must be in the matrix";
-  EXPECT_TRUE(planner_tuned) << "auto-tuner path must be in the matrix";
+  EXPECT_TRUE(jit);
+  EXPECT_TRUE(planner) << "the planning path must be in the matrix";
   EXPECT_TRUE(tile1);
   EXPECT_TRUE(tile3);
   EXPECT_TRUE(workers2);
+  EXPECT_TRUE(workers8) << "the scheduler-stress configs must be in the matrix";
   EXPECT_TRUE(scalar);
   EXPECT_TRUE(straddle_under) << "budget = steps-1 must expect interpreter fallback";
   EXPECT_TRUE(straddle_exact) << "budget = steps must expect a compile";

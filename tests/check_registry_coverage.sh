@@ -29,10 +29,11 @@ while IFS= read -r algo; do
     failures=$((failures + 1))
   fi
   flat="${algo//-/_}"
-  # One case per arrangement: all four must appear in the sweep.
-  for arrangement in row_wise column_wise blocked conflict_free; do
-    if ! grep -q "${flat}_${arrangement}_p" <<< "$tests"; then
-      echo "NO EQUIVALENCE COVERAGE for '$algo' (${arrangement}):" \
+  # Lane-count cases (<algorithm>_<engine>_p<lanes>) for every host engine
+  # must appear in the sweep.
+  for engine in interpreted compiled jit; do
+    if ! grep -q "/${flat}_${engine}_p" <<< "$tests"; then
+      echo "NO EQUIVALENCE COVERAGE for '$algo' (${engine}):" \
            "is it missing test_sizes?" >&2
       failures=$((failures + 1))
     fi

@@ -2,7 +2,7 @@
 // concurrent submitters, workers helping under skewed tile costs, nested
 // submission from inside a task, clean shutdown with tasks queued, exception
 // semantics, and bit-identical executor output across worker counts for the
-// whole algorithm registry × arrangements × SIMD tiers.
+// whole algorithm registry × SIMD tiers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "algos/algorithm.hpp"
-#include "bulk/bulk.hpp"
 #include "bulk/core_pool.hpp"
 #include "bulk/host_executor.hpp"
 #include "common/rng.hpp"
@@ -52,7 +51,7 @@ TEST(CorePool, CoversRangeExactlyOnce) {
   constexpr std::size_t kCount = 10007;
   std::vector<std::atomic<int>> hits(kCount);
   const SchedulerStats stats =
-      pool.parallel_for(kCount, 1, 16, 4, [&](std::size_t begin, std::size_t end) {
+      pool.parallel_for(kCount, 16, 4, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           hits[i].fetch_add(1, std::memory_order_relaxed);
         }
@@ -63,26 +62,12 @@ TEST(CorePool, CoversRangeExactlyOnce) {
   EXPECT_EQ(stats.tasks, (kCount + 15) / 16);
 }
 
-TEST(CorePool, RespectsAlignmentAndGrainRounding) {
-  CorePool pool(CorePool::Config{.workers = 4});
-  constexpr std::size_t kAlign = 7;
-  constexpr std::size_t kCount = 7 * 123;
-  std::atomic<std::size_t> covered{0};
-  // Grain 10 is not an align multiple: the pool must round it down to 7.
-  pool.parallel_for(kCount, kAlign, 10, 4, [&](std::size_t begin, std::size_t end) {
-    EXPECT_EQ(begin % kAlign, 0u);
-    EXPECT_TRUE(end % kAlign == 0 || end == kCount);
-    covered.fetch_add(end - begin, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(covered.load(), kCount);
-}
-
 TEST(CorePool, CoversRangeExactlyOnceForEveryWorkerCount) {
   for (const unsigned workers : {1u, 3u, 8u}) {
     CorePool pool(CorePool::Config{.workers = workers});
     for (const unsigned max_workers : {1u, 2u, 8u}) {
       std::vector<std::atomic<int>> hits(100);
-      pool.parallel_for(hits.size(), 1, 1, max_workers, [&](std::size_t begin, std::size_t end) {
+      pool.parallel_for(hits.size(), 1, max_workers, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1, std::memory_order_relaxed);
       });
       for (std::size_t i = 0; i < hits.size(); ++i) {
@@ -93,13 +78,13 @@ TEST(CorePool, CoversRangeExactlyOnceForEveryWorkerCount) {
 }
 
 TEST(CorePool, RaggedTailIsTheOnlyPartialTile) {
-  // count 10 is not a multiple of align 3: grain 7 is cut to the align
-  // multiple 6, so the tiles are [0, 6) and the ragged tail [6, 10).
+  // count 10 is not a multiple of grain 6: the tiles are [0, 6) and the
+  // ragged tail [6, 10).
   CorePool pool(CorePool::Config{.workers = 2});
   std::mutex mu;
   std::set<std::pair<std::size_t, std::size_t>> tiles;
   const SchedulerStats stats =
-      pool.parallel_for(10, 3, 7, 2, [&](std::size_t begin, std::size_t end) {
+      pool.parallel_for(10, 6, 2, [&](std::size_t begin, std::size_t end) {
         std::lock_guard<std::mutex> lock(mu);
         tiles.emplace(begin, end);
       });
@@ -109,20 +94,20 @@ TEST(CorePool, RaggedTailIsTheOnlyPartialTile) {
 }
 
 TEST(CorePool, SingleTileRunsInline) {
-  // count <= grain, and a count below one align block, each make a single
-  // tile: it runs on the caller without starting the workers.
+  // count <= grain makes a single tile: it runs on the caller without
+  // starting the workers.
   CorePool pool(CorePool::Config{.workers = 4});
   const std::thread::id caller = std::this_thread::get_id();
   struct Case {
-    std::size_t count, align, grain, end;
+    std::size_t count, grain;
   };
-  for (const Case c : {Case{100, 1, 100, 100}, Case{100, 1, 500, 100}, Case{5, 8, 1, 5}}) {
+  for (const Case c : {Case{100, 100}, Case{100, 500}}) {
     std::size_t calls = 0;
     const SchedulerStats stats =
-        pool.parallel_for(c.count, c.align, c.grain, 4, [&](std::size_t begin, std::size_t end) {
+        pool.parallel_for(c.count, c.grain, 4, [&](std::size_t begin, std::size_t end) {
           EXPECT_EQ(std::this_thread::get_id(), caller);
           EXPECT_EQ(begin, 0u);
-          EXPECT_EQ(end, c.end);
+          EXPECT_EQ(end, c.count);
           ++calls;
         });
     EXPECT_EQ(calls, 1u);
@@ -138,7 +123,7 @@ TEST(CorePool, StealsCountExactlyTheTilesRunOffTheSubmitter) {
   const std::thread::id submitter = std::this_thread::get_id();
   std::vector<std::atomic<bool>> off_submitter(kTiles);
   const SchedulerStats stats =
-      pool.parallel_for(kTiles, 1, 1, 4, [&](std::size_t begin, std::size_t) {
+      pool.parallel_for(kTiles, 1, 4, [&](std::size_t begin, std::size_t) {
         busy_work(2000);
         off_submitter[begin].store(std::this_thread::get_id() != submitter,
                                    std::memory_order_relaxed);
@@ -159,7 +144,7 @@ TEST(CorePool, ErrorThrownOnAWorkerIsRethrownOnTheSubmitter) {
   std::atomic<bool> worker_threw{false};
   bool gate_timed_out = false;
   try {
-    pool.parallel_for(64, 1, 1, 3, [&](std::size_t begin, std::size_t) {
+    pool.parallel_for(64, 1, 3, [&](std::size_t begin, std::size_t) {
       if (std::this_thread::get_id() != submitter) {
         worker_threw.store(true, std::memory_order_release);
         throw std::runtime_error("worker tile failed");
@@ -183,7 +168,7 @@ TEST(CorePool, WakesASleepingWorkerForEveryNewRegion) {
   // the worker has run another one.  A lost wakeup leaves the worker asleep
   // and the gate times out.
   CorePool pool(CorePool::Config{.workers = 1});
-  pool.parallel_for(2, 1, 1, 2, [](std::size_t, std::size_t) {});  // starts the worker
+  pool.parallel_for(2, 1, 2, [](std::size_t, std::size_t) {});  // starts the worker
   // Every park but the current one was ended by exactly one region published
   // while the worker slept, each counted in `unparks`; so, with this test the
   // only submitter, the worker is asleep iff parks > unparks.
@@ -198,7 +183,7 @@ TEST(CorePool, WakesASleepingWorkerForEveryNewRegion) {
     ASSERT_TRUE(wait_until(asleep)) << "round " << round << ": worker never went to sleep";
     std::atomic<bool> helped{false};
     bool gate_timed_out = false;
-    pool.parallel_for(4, 1, 1, 2, [&](std::size_t begin, std::size_t) {
+    pool.parallel_for(4, 1, 2, [&](std::size_t begin, std::size_t) {
       if (std::this_thread::get_id() != submitter) helped.store(true, std::memory_order_release);
       if (begin == 0) {
         gate_timed_out = !wait_until([&] { return helped.load(std::memory_order_acquire); });
@@ -219,7 +204,7 @@ TEST(CorePool, ConcurrentSubmittersEachCoverTheirOwnRange) {
   for (std::size_t s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&, s] {
       for (int round = 0; round < 8; ++round) {
-        pool.parallel_for(kCount, 1, 64, 4, [&](std::size_t begin, std::size_t end) {
+        pool.parallel_for(kCount, 64, 4, [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             hits[s][i].fetch_add(1, std::memory_order_relaxed);
           }
@@ -248,7 +233,7 @@ TEST(CorePool, StealsUnderSkewedTileCosts) {
   const std::thread::id submitter = std::this_thread::get_id();
   std::atomic<bool> helped{false};
   const SchedulerStats stats =
-      pool.parallel_for(kTiles, 1, 1, 4, [&](std::size_t begin, std::size_t end) {
+      pool.parallel_for(kTiles, 1, 4, [&](std::size_t begin, std::size_t end) {
         if (std::this_thread::get_id() != submitter) {
           helped.store(true, std::memory_order_release);
         }
@@ -271,11 +256,11 @@ TEST(CorePool, NestedSubmissionFromInsideATask) {
   constexpr std::size_t kOuter = 16;
   constexpr std::size_t kInner = 256;
   std::atomic<std::size_t> sum{0};
-  pool.parallel_for(kOuter, 1, 1, 3, [&](std::size_t begin, std::size_t end) {
+  pool.parallel_for(kOuter, 1, 3, [&](std::size_t begin, std::size_t end) {
     for (std::size_t o = begin; o < end; ++o) {
       // A worker (or the caller) submitting from inside a task must drain
       // its own deque rather than deadlock waiting on itself.
-      pool.parallel_for(kInner, 1, 32, 3, [&](std::size_t b2, std::size_t e2) {
+      pool.parallel_for(kInner, 32, 3, [&](std::size_t b2, std::size_t e2) {
         sum.fetch_add(e2 - b2, std::memory_order_relaxed);
       });
     }
@@ -289,7 +274,7 @@ TEST(CorePool, CleanShutdownWaitsForQueuedTasks) {
   std::atomic<bool> submitted{false};
   auto* pool = new CorePool(CorePool::Config{.workers = 2});
   std::thread submitter([&] {
-    pool->parallel_for(hits.size(), 1, 1, 3, [&](std::size_t begin, std::size_t end) {
+    pool->parallel_for(hits.size(), 1, 3, [&](std::size_t begin, std::size_t end) {
       region_started.store(true, std::memory_order_release);
       for (std::size_t i = begin; i < end; ++i) {
         busy_work(20000);
@@ -312,7 +297,7 @@ TEST(CorePool, FirstErrorRethrownAndRemainingTilesSkipped) {
   CorePool pool(CorePool::Config{.workers = 4});
   std::atomic<int> executed{0};
   try {
-    pool.parallel_for(256, 1, 1, 4, [&](std::size_t begin, std::size_t) {
+    pool.parallel_for(256, 1, 4, [&](std::size_t begin, std::size_t) {
       executed.fetch_add(1, std::memory_order_relaxed);
       if (begin % 3 == 0) throw std::runtime_error("tile failed");
     });
@@ -330,9 +315,9 @@ TEST(CorePool, NestedErrorDoesNotPoisonOuterRegion) {
   CorePool pool(CorePool::Config{.workers = 3});
   std::atomic<int> outer_done{0};
   std::atomic<int> inner_throws{0};
-  pool.parallel_for(8, 1, 1, 3, [&](std::size_t, std::size_t) {
+  pool.parallel_for(8, 1, 3, [&](std::size_t, std::size_t) {
     try {
-      pool.parallel_for(8, 1, 1, 3, [&](std::size_t b, std::size_t) {
+      pool.parallel_for(8, 1, 3, [&](std::size_t b, std::size_t) {
         if (b == 0) throw std::runtime_error("inner");
       });
     } catch (const std::runtime_error&) {
@@ -349,7 +334,7 @@ TEST(CorePool, SingleWorkerRunsInlineWithoutTouchingThePool) {
   const std::thread::id caller = std::this_thread::get_id();
   std::size_t calls = 0;
   const SchedulerStats stats =
-      pool.parallel_for(1000, 1, 10, 1, [&](std::size_t begin, std::size_t end) {
+      pool.parallel_for(1000, 10, 1, [&](std::size_t begin, std::size_t end) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
         EXPECT_EQ(begin, 0u);
         EXPECT_EQ(end, 1000u);
@@ -367,7 +352,7 @@ TEST(CorePool, CountersTrackWorkAndTopology) {
   EXPECT_EQ(pool.worker_count(), 2u);
   EXPECT_EQ(pool.counters().worker_busy_ns.size(), 2u);
   std::atomic<std::size_t> sum{0};
-  pool.parallel_for(1024, 1, 8, 2, [&](std::size_t begin, std::size_t end) {
+  pool.parallel_for(1024, 8, 2, [&](std::size_t begin, std::size_t end) {
     sum.fetch_add(end - begin, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 1024u);
@@ -380,7 +365,7 @@ TEST(CorePool, ZeroCountIsNoop) {
   CorePool pool(CorePool::Config{.workers = 4});
   bool called = false;
   const SchedulerStats stats =
-      pool.parallel_for(0, 1, 1, 4, [&](std::size_t, std::size_t) { called = true; });
+      pool.parallel_for(0, 1, 4, [&](std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
   EXPECT_EQ(stats.tasks, 0u);
 }
@@ -388,7 +373,7 @@ TEST(CorePool, ZeroCountIsNoop) {
 TEST(CorePool, MoreWorkersRequestedThanTilesIsFine) {
   CorePool pool(CorePool::Config{.workers = 2});
   std::atomic<std::size_t> sum{0};
-  pool.parallel_for(3, 1, 1, 64, [&](std::size_t begin, std::size_t end) {
+  pool.parallel_for(3, 1, 64, [&](std::size_t begin, std::size_t end) {
     sum.fetch_add(end - begin, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 3u);
@@ -404,7 +389,7 @@ TEST(CorePool, ManyShortLivedExternalSubmitters) {
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t) {
       threads.emplace_back([&] {
-        pool.parallel_for(64, 1, 4, 3, [&](std::size_t begin, std::size_t end) {
+        pool.parallel_for(64, 4, 3, [&](std::size_t begin, std::size_t end) {
           sum.fetch_add(end - begin, std::memory_order_relaxed);
         });
       });
@@ -415,10 +400,9 @@ TEST(CorePool, ManyShortLivedExternalSubmitters) {
 }
 
 /// Bit-identical output across worker counts: the scheduler may reorder and
-/// steal tiles, but every lane's result (and the arranged memory image as a
-/// whole) must match the workers = 1 inline run exactly — for every registry
-/// algorithm, both plannable arrangements, and the scalar + widest SIMD
-/// tiers, through the shared process-wide pool.
+/// steal tiles, but every lane's result (and every lane's final memory) must
+/// match the workers = 1 inline run exactly — for every registry algorithm
+/// and the scalar + widest SIMD tiers, through the shared process-wide pool.
 TEST(CorePoolEquivalence, BitIdenticalAcrossWorkerCountsEverywhere) {
   const std::size_t p = 65;  // ragged against every tile and vector width
   std::vector<SimdIsa> tiers{SimdIsa::kScalar};
@@ -433,25 +417,21 @@ TEST(CorePoolEquivalence, BitIdenticalAcrossWorkerCountsEverywhere) {
       const auto one = algo.make_input(n, rng);
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
-    for (const Arrangement arr : {Arrangement::kRowWise, Arrangement::kColumnWise}) {
-      const Layout layout = make_layout(program, p, arr);
-      for (const SimdIsa isa : tiers) {
-        const HostBulkExecutor serial(
-            layout, HostBulkExecutor::Options{
-                        .workers = 1, .backend = exec::Backend::kAuto, .simd = isa});
-        const HostBulkExecutor pooled(
-            layout, HostBulkExecutor::Options{
-                        .workers = 4, .backend = exec::Backend::kAuto, .simd = isa});
-        const HostRunResult a = serial.run(program, inputs);
-        const HostRunResult b = pooled.run(program, inputs);
-        ASSERT_EQ(a.backend, b.backend);
-        ASSERT_EQ(a.memory, b.memory)
-            << algo.name << " " << layout.name() << " tier " << to_string(isa);
-        EXPECT_EQ(a.counts.total(), b.counts.total()) << algo.name;
-        EXPECT_EQ(serial.gather_outputs(program, a.memory),
-                  pooled.gather_outputs(program, b.memory))
-            << algo.name;
-      }
+    for (const SimdIsa isa : tiers) {
+      const HostBulkExecutor serial(
+          p, HostBulkExecutor::Options{
+                 .workers = 1, .backend = exec::Backend::kAuto, .simd = isa});
+      const HostBulkExecutor pooled(
+          p, HostBulkExecutor::Options{
+                 .workers = 4, .backend = exec::Backend::kAuto, .simd = isa});
+      const HostRunResult a = serial.run(program, inputs);
+      const HostRunResult b = pooled.run(program, inputs);
+      ASSERT_EQ(a.backend, b.backend);
+      ASSERT_EQ(a.memory, b.memory) << algo.name << " tier " << to_string(isa);
+      EXPECT_EQ(a.counts.total(), b.counts.total()) << algo.name;
+      EXPECT_EQ(serial.gather_outputs(program, a.memory),
+                pooled.gather_outputs(program, b.memory))
+          << algo.name;
     }
   }
 }
@@ -474,23 +454,20 @@ TEST(CorePoolDefaults, ZeroWorkersMeansDefaultWorkerCount) {
   EXPECT_EQ(pool.counters().pinned, CorePool::pinning_enabled());
 }
 
-TEST(CorePoolDefaults, ChunkGrainGivesFourToEightAlignedTilesPerWorker) {
-  for (const std::size_t align : {1u, 8u, 64u}) {
-    for (const unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
-      const std::size_t count = 4096 * align;
-      const std::size_t grain = chunk_grain(count, align, workers);
-      ASSERT_GT(grain, 0u);
-      EXPECT_EQ(grain % align, 0u) << "align " << align << " workers " << workers;
-      const std::size_t tiles = (count + grain - 1) / grain;
-      EXPECT_GE(tiles, 4u * workers) << "align " << align << " workers " << workers;
-      EXPECT_LE(tiles, 8u * workers) << "align " << align << " workers " << workers;
-    }
+TEST(CorePoolDefaults, ChunkGrainGivesFourToEightTilesPerWorker) {
+  for (const unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
+    const std::size_t count = 4096;
+    const std::size_t grain = chunk_grain(count, workers);
+    ASSERT_GT(grain, 0u);
+    const std::size_t tiles = (count + grain - 1) / grain;
+    EXPECT_GE(tiles, 4u * workers) << "workers " << workers;
+    EXPECT_LE(tiles, 8u * workers) << "workers " << workers;
   }
-  // Fewer lanes than one align block per tile still give a positive
-  // align-multiple; align 0 and workers 0 are read as 1.
-  EXPECT_EQ(chunk_grain(10, 8, 4), 8u);
-  EXPECT_EQ(chunk_grain(0, 1, 4), 1u);
-  EXPECT_EQ(chunk_grain(100, 0, 0), 25u);
+  // Fewer lanes than tiles still give a positive grain; workers 0 is read
+  // as 1.
+  EXPECT_EQ(chunk_grain(10, 4), 1u);
+  EXPECT_EQ(chunk_grain(0, 4), 1u);
+  EXPECT_EQ(chunk_grain(100, 0), 25u);
 }
 
 }  // namespace

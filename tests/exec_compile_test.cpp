@@ -65,8 +65,7 @@ TEST(CompileCache, StreamDrainedAtMostOncePerProcess) {
   const trace::Program copy = program;
   for (unsigned workers : {1u, 4u}) {
     const bulk::HostBulkExecutor exec(
-        bulk::Layout::column_wise(p, program.memory_words),
-        bulk::HostBulkExecutor::Options{.workers = workers, .tile_lanes = 16});
+        p, bulk::HostBulkExecutor::Options{.workers = workers, .tile_lanes = 16});
     const auto run1 = exec.run(program, inputs);
     const auto run2 = exec.run(copy, inputs);
     // kAuto runs the JIT where emission is available and the compiled
@@ -85,9 +84,8 @@ TEST(CompileCache, OverBudgetFallsBackAndRemembersFailure) {
   const std::vector<Word> inputs = iota_inputs(p, kCountingWords);
 
   const bulk::HostBulkExecutor exec(
-      bulk::Layout::column_wise(p, program.memory_words),
-      bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
-                                      .compile_budget_steps = 4});
+      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
+                                         .compile_budget_steps = 4});
   const auto run1 = exec.run(program, inputs);
   EXPECT_EQ(run1.backend, exec::Backend::kInterpreted);  // automatic fallback
   // One aborted compile drain + one interpreted chunk.
@@ -103,7 +101,7 @@ TEST(CompileCache, OverBudgetFallsBackAndRemembersFailure) {
   const trace::InterpreterResult ref = trace::interpret(
       program, std::span<const Word>(inputs.data(), kCountingWords));
   for (std::size_t i = 0; i < kCountingWords; ++i) {
-    EXPECT_EQ(run2.memory[i * p], ref.memory[i]);
+    EXPECT_EQ(run2.memory[i], ref.memory[i]);  // lane 0, lane-major
   }
 }
 
@@ -146,10 +144,10 @@ TEST(CompiledProgramTest, SegmentBoundariesPreserveSemantics) {
   ASSERT_NE(compiled, nullptr);
   ASSERT_GT(compiled->segments().size(), 1u);
 
-  const bulk::Layout layout = bulk::Layout::column_wise(p, program.memory_words);
-  std::vector<Word> memory(layout.total_words(), Word{0});
+  const std::size_t mw = program.memory_words;
+  std::vector<Word> memory(p * mw, Word{0});
   exec::run_compiled_chunk(*compiled, inputs, program.input_words,
-                           exec::TileSink::image(layout, memory), 0, p, /*tile_lanes=*/4);
+                           exec::TileSink::outputs(memory, 0, mw), 0, p, /*tile_lanes=*/4);
 
   for (std::size_t j = 0; j < p; ++j) {
     const trace::InterpreterResult ref = trace::interpret(
@@ -157,8 +155,7 @@ TEST(CompiledProgramTest, SegmentBoundariesPreserveSemantics) {
         std::span<const Word>(inputs.data() + j * program.input_words,
                               program.input_words));
     for (std::size_t a = 0; a < program.memory_words; ++a) {
-      ASSERT_EQ(memory[layout.global(static_cast<Addr>(a), j)], ref.memory[a])
-          << "lane " << j << " word " << a;
+      ASSERT_EQ(memory[j * mw + a], ref.memory[a]) << "lane " << j << " word " << a;
     }
   }
 }

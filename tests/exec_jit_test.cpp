@@ -1,5 +1,5 @@
 // Copy-and-patch JIT tests: bit-identical equivalence with the interpreter
-// across arrangements, ragged lane counts and tile sizes; segment-boundary
+// across ragged lane counts and tile sizes; segment-boundary
 // and compile-budget straddles; emitted-code metadata.  Every test skips
 // where emission is unavailable (non-x86-64/non-Linux, OBX_JIT=0) — the
 // fallback ladder those hosts take is covered by exec_compile_test and the
@@ -10,9 +10,7 @@
 #include <vector>
 
 #include "algos/algorithm.hpp"
-#include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
-#include "bulk/layout.hpp"
 #include "check/differential.hpp"
 #include "common/rng.hpp"
 #include "exec/backend.hpp"
@@ -23,7 +21,6 @@
 namespace {
 
 using namespace obx;
-using bulk::Arrangement;
 using trace::Op;
 using trace::Step;
 
@@ -48,47 +45,26 @@ TEST(JitTest, PlatformProbeIsConsistent) {
 #endif
 }
 
-// The acceptance matrix of the JIT: every arrangement x ragged lane count x
-// tile size must be bit-identical to trace::interpret, and must actually run
-// the emitted code (backend == kJit), not a silent fallback.
-TEST(JitTest, BitIdenticalAcrossArrangementsRaggedLanesAndTiles) {
+// The acceptance matrix of the JIT: every ragged lane count x tile size must
+// be bit-identical to trace::interpret, and must actually run the emitted
+// code (backend == kJit), not a silent fallback.
+TEST(JitTest, BitIdenticalAcrossRaggedLanesAndTiles) {
   if (!exec::jit_available()) GTEST_SKIP() << "JIT unavailable on this host";
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const std::size_t n = 32;
   const trace::Program program = algo.make_program(n);
 
-  struct Arr {
-    Arrangement arrangement;
-    std::size_t param;
-  };
-  const std::vector<Arr> arrangements{{Arrangement::kColumnWise, 0},
-                                      {Arrangement::kRowWise, 0},
-                                      {Arrangement::kBlocked, 4},
-                                      {Arrangement::kConflictFree, 2}};
   for (const std::size_t p : {std::size_t{1}, std::size_t{3}, std::size_t{7},
                               std::size_t{9}, std::size_t{63}, std::size_t{65}}) {
     const std::vector<Word> inputs = lane_major_inputs(algo, n, p, 7 * p + 1);
     const std::vector<Word> oracle = check::oracle_memory(program, inputs, p);
-    for (const Arr& arr : arrangements) {
-      for (const std::size_t tile : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-        const bulk::Layout layout =
-            bulk::make_layout(program, p, arr.arrangement, arr.param);
-        const bulk::HostBulkExecutor exec(
-            layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit,
-                                                    .tile_lanes = tile});
-        const auto run = exec.run(program, inputs);
-        ASSERT_EQ(run.backend, exec::Backend::kJit)
-            << "p=" << p << " arr=" << bulk::to_string(arr.arrangement)
-            << " tile=" << tile;
-        for (std::size_t j = 0; j < p; ++j) {
-          for (std::size_t i = 0; i < program.memory_words; ++i) {
-            ASSERT_EQ(run.memory[layout.global(static_cast<Addr>(i), j)],
-                      oracle[j * program.memory_words + i])
-                << "p=" << p << " arr=" << bulk::to_string(arr.arrangement)
-                << " tile=" << tile << " lane=" << j << " word=" << i;
-          }
-        }
-      }
+    for (const std::size_t tile : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+      const bulk::HostBulkExecutor exec(
+          p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit,
+                                             .tile_lanes = tile});
+      const auto run = exec.run(program, inputs);
+      ASSERT_EQ(run.backend, exec::Backend::kJit) << "p=" << p << " tile=" << tile;
+      ASSERT_EQ(run.memory, oracle) << "p=" << p << " tile=" << tile;
     }
   }
 }
@@ -113,25 +89,24 @@ TEST(JitTest, SegmentBoundariesPreserveSemantics) {
   EXPECT_EQ(jit->entries().size(), compiled->segments().size());
   EXPECT_EQ(jit->patch_count(), 3 * compiled->fused_ops());
 
-  const bulk::Layout layout = bulk::Layout::column_wise(p, program.memory_words);
-  std::vector<Word> memory(layout.total_words(), Word{0});
+  const std::size_t mw = program.memory_words;
+  std::vector<Word> memory(p * mw, Word{0});
   exec::run_jit_chunk(*jit, inputs, program.input_words,
-                      exec::TileSink::image(layout, memory), 0, p, /*tile_lanes=*/4);
+                      exec::TileSink::outputs(memory, 0, mw), 0, p, /*tile_lanes=*/4);
 
   for (std::size_t j = 0; j < p; ++j) {
     const trace::InterpreterResult ref = trace::interpret(
         program, std::span<const Word>(inputs.data() + j * program.input_words,
                                        program.input_words));
-    for (std::size_t a = 0; a < program.memory_words; ++a) {
-      ASSERT_EQ(memory[layout.global(static_cast<Addr>(a), j)], ref.memory[a])
-          << "lane " << j << " word " << a;
+    for (std::size_t a = 0; a < mw; ++a) {
+      ASSERT_EQ(memory[j * mw + a], ref.memory[a]) << "lane " << j << " word " << a;
     }
   }
 }
 
 // A zero-step program compiles to zero segments and emits to zero entry
 // points — a valid JIT artifact, no code arena needed — and a run through it
-// still scatters the inputs.
+// still stages the inputs.
 TEST(JitTest, EmptyProgramEmitsAndRuns) {
   if (!exec::jit_available()) GTEST_SKIP() << "JIT unavailable on this host";
   trace::Program program;
@@ -147,15 +122,10 @@ TEST(JitTest, EmptyProgramEmitsAndRuns) {
   for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = i + 11;
 
   const bulk::HostBulkExecutor exec(
-      bulk::Layout::column_wise(p, 4),
-      bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit});
+      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit});
   const auto run = exec.run(program, inputs);
   EXPECT_EQ(run.backend, exec::Backend::kJit);
-  for (std::size_t j = 0; j < p; ++j) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(run.memory[i * p + j], inputs[j * 4 + i]);
-    }
-  }
+  EXPECT_EQ(run.memory, inputs);
 }
 
 // One step under budget must fall all the way to the interpreter; exactly at
@@ -170,18 +140,17 @@ TEST(JitTest, CompileBudgetStraddle) {
   const std::size_t steps = trace::TracedProgram::capture(program).steps().size();
   ASSERT_GE(steps, 2u);
   const std::vector<Word> inputs = lane_major_inputs(algo, n, p, 9);
-  const bulk::Layout layout = bulk::Layout::column_wise(p, program.memory_words);
 
   program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
   const bulk::HostBulkExecutor under(
-      layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit,
-                                              .compile_budget_steps = steps - 1});
+      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit,
+                                         .compile_budget_steps = steps - 1});
   EXPECT_EQ(under.run(program, inputs).backend, exec::Backend::kInterpreted);
 
   program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
   const bulk::HostBulkExecutor exact(
-      layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit,
-                                              .compile_budget_steps = steps});
+      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit,
+                                         .compile_budget_steps = steps});
   EXPECT_EQ(exact.run(program, inputs).backend, exec::Backend::kJit);
 }
 
@@ -239,18 +208,11 @@ TEST(JitTest, FullOpcodeSurfaceMatchesOracle) {
     Rng rng(p);
     for (Word& w : inputs) w = rng.next_u64();
     const std::vector<Word> oracle = check::oracle_memory(program, inputs, p);
-    const bulk::Layout layout = bulk::Layout::column_wise(p, n);
     const bulk::HostBulkExecutor exec(
-        layout, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit});
+        p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit});
     const auto run = exec.run(program, inputs);
     ASSERT_EQ(run.backend, exec::Backend::kJit);
-    for (std::size_t j = 0; j < p; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(run.memory[layout.global(static_cast<Addr>(i), j)],
-                  oracle[j * n + i])
-            << "p=" << p << " lane=" << j << " word=" << i;
-      }
-    }
+    ASSERT_EQ(run.memory, oracle) << "p=" << p;
   }
 }
 

@@ -2,9 +2,9 @@
 // engine must agree bit-for-bit, and both timing paths must coincide.
 //
 // For each seed: generate a random (but valid) step stream, random machine
-// parameters and arrangement, then check
+// parameters and a simulated arrangement, then check
 //   HostBulkExecutor lane j  ==  interpret(program, input_j)     (function)
-//   UmmBulkExecutor          ==  HostBulkExecutor                (function)
+//   UmmBulkExecutor          ==  HostBulkExecutor, every word    (function)
 //   UmmBulkExecutor units    ==  TimingEstimator units           (timing)
 // across serialized/overlap and group-size variants.
 #include <gtest/gtest.h>
@@ -94,7 +94,7 @@ TEST_P(DifferentialFuzz, AllEnginesAgree) {
   const bulk::Layout layout = bulk::make_layout(program, p, arrangement);
 
   // 1. Host executor vs scalar interpreter, per lane.
-  const bulk::HostBulkExecutor host(layout);
+  const bulk::HostBulkExecutor host(p);
   const bulk::HostRunResult host_run = host.run(program, inputs);
   const std::vector<Word> host_out = host.gather_outputs(program, host_run.memory);
   for (std::size_t j = 0; j < p; ++j) {
@@ -111,7 +111,15 @@ TEST_P(DifferentialFuzz, AllEnginesAgree) {
   // 2. Machine simulator vs host executor (function) and estimator (timing).
   const bulk::UmmBulkExecutor sim(model, cfg, layout);
   const bulk::UmmRunResult sim_run = sim.run(program, inputs);
-  ASSERT_EQ(sim_run.memory, host_run.memory) << "seed " << GetParam();
+  const std::size_t n = program.memory_words;
+  ASSERT_EQ(sim_run.memory.size(), layout.total_words()) << "seed " << GetParam();
+  ASSERT_EQ(host_run.memory.size(), p * n) << "seed " << GetParam();
+  for (Lane j = 0; j < p; ++j) {
+    for (Addr a = 0; a < n; ++a) {
+      ASSERT_EQ(sim_run.memory[layout.global(a, j)], host_run.memory[j * n + a])
+          << "lane " << j << " word " << a << " (seed " << GetParam() << ")";
+    }
+  }
 
   const bulk::TimingEstimator estimator(model, cfg, layout);
   const bulk::TimingResult est = estimator.run(program);

@@ -344,15 +344,14 @@ TEST(PlanEquivalenceTest, PlanDrivenRunMatchesDirectExecutorAcrossRegistry) {
     const std::size_t n = algo.test_sizes.front();
     const trace::Program program = algo.make_program(n);
     const std::vector<Word> inputs = lane_inputs(algo, n, p, /*seed=*/7);
+    // Direct: the pre-plan executor surface on the unoptimised program.
+    const bulk::HostBulkExecutor direct(p);
+    const auto direct_run = direct.run(program, inputs);
+    const std::vector<Word> expected = direct.gather_outputs(program, direct_run.memory);
     for (const auto arr :
          {bulk::Arrangement::kRowWise, bulk::Arrangement::kColumnWise}) {
-      // Direct: the pre-plan executor surface on the unoptimised program.
-      const bulk::HostBulkExecutor direct(bulk::make_layout(program, p, arr));
-      const auto direct_run = direct.run(program, inputs);
-      const std::vector<Word> expected =
-          direct.gather_outputs(program, direct_run.memory);
-
-      // Plan-driven: same arrangement forced so the comparison is exact.
+      // Plan-driven: whatever arrangement the simulated machine is planned
+      // for, the host run is the same.
       plan::PlanOptions options;
       options.arrangement = arr;
       const auto plan = plan::build_plan(program, options);
@@ -402,13 +401,12 @@ TEST(PlanEquivalenceTest, PlanConstructedExecutorsMatchPlanRun) {
   plan::run(*plan, inputs, p, &expected);
 
   const bulk::HostBulkExecutor host(*plan, p);
-  EXPECT_EQ(host.layout().lanes(), p);
+  EXPECT_EQ(host.lanes(), p);
   const auto run = host.run(plan->program(), inputs);
   EXPECT_EQ(run.backend, plan->backend());
   EXPECT_EQ(host.gather_outputs(plan->program(), run.memory), expected);
 
   const bulk::StreamingExecutor streaming(*plan, /*max_resident_lanes=*/4);
-  EXPECT_EQ(streaming.options().arrangement, plan->arrangement());
   EXPECT_EQ(streaming.options().max_resident_lanes, 4u);
   std::vector<Word> streamed(expected.size(), Word{0});
   streaming.run(
@@ -424,20 +422,20 @@ TEST(PlanEquivalenceTest, PlanConstructedExecutorsMatchPlanRun) {
   EXPECT_EQ(streamed, expected);
 }
 
-// plan::run with `outputs` takes the output path: the compiled and JIT
-// engines copy each tile's output rows straight out and build no arranged
-// image.  Without `outputs` the full image comes back as before.
+// plan::run with `outputs` takes the output path: every engine copies each
+// tile's output rows straight out and builds no memory image.  Without
+// `outputs` every lane's final memory comes back, lane-major.
 TEST(PlanEquivalenceTest, RunWithOutputsBuildsNoArrangedImage) {
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const std::size_t n = 64;
   const std::size_t p = 37;
   const trace::Program program = algo.make_program(n);
   const std::vector<Word> inputs = lane_inputs(algo, n, p, /*seed=*/31);
-  for (const exec::Backend backend : {exec::Backend::kAuto, exec::Backend::kCompiled}) {
+  for (const exec::Backend backend :
+       {exec::Backend::kAuto, exec::Backend::kCompiled, exec::Backend::kInterpreted}) {
     plan::PlanOptions options;
     options.backend = backend;
     const auto plan = plan::build_plan(program, options);
-    ASSERT_NE(plan->backend(), exec::Backend::kInterpreted);
 
     std::vector<Word> out;
     const bulk::HostRunResult with = plan::run(*plan, inputs, p, &out);
@@ -447,7 +445,7 @@ TEST(PlanEquivalenceTest, RunWithOutputsBuildsNoArrangedImage) {
 
     const bulk::HostRunResult without = plan::run(*plan, inputs, p);
     EXPECT_EQ(without.backend, plan->backend());
-    ASSERT_EQ(without.memory.size(), plan->layout(p).total_words());
+    ASSERT_EQ(without.memory.size(), p * plan->program().memory_words);
     EXPECT_EQ(bulk::HostBulkExecutor(*plan, p).gather_outputs(plan->program(),
                                                                without.memory),
               out);
@@ -465,24 +463,15 @@ TEST(PlanEquivalenceTest, RunWithOutputsBuildsNoArrangedImage) {
 }
 
 // ---------------------------------------------------------------------------
-// serve::PrepareOptions compatibility shim.
+// serve::PrepareOptions maps onto plan::PlanOptions.
 
-TEST(PrepareOptionsTest, EnSpellingIsCanonicalAndAliasStillWorks) {
+TEST(PrepareOptionsTest, EnSpellingIsCanonical) {
   serve::PrepareOptions po;
   EXPECT_TRUE(po.optimise);
-  EXPECT_FALSE(po.optimize.has_value());
   EXPECT_TRUE(po.plan_options().optimise);
 
   po.optimise = false;
   EXPECT_FALSE(po.plan_options().optimise);
-
-  // The deprecated mixed-spelling alias overrides when set.
-  po.optimise = true;
-  po.optimize = false;
-  EXPECT_FALSE(po.plan_options().optimise);
-  po.optimize = true;
-  po.optimise = false;
-  EXPECT_TRUE(po.plan_options().optimise);
 }
 
 TEST(PrepareOptionsTest, MapsOntoPlanOptions) {

@@ -29,7 +29,7 @@ struct Fixture {
       const auto one = algo.make_input(n, rng);
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
-    expected = run_bulk(program, inputs, p, Arrangement::kColumnWise).flat;
+    expected = run_bulk(program, inputs, p).flat;
   }
 
   void fill(Lane j, std::span<Word> dst) const {
@@ -58,10 +58,10 @@ TEST(Streaming, MatchesMonolithicRunAcrossBatchSizes) {
   }
 }
 
-TEST(Streaming, RowWiseArrangementAgrees) {
+TEST(Streaming, InterpretedEngineAgrees) {
   const Fixture fx("bitonic-sort", 32, 11);
   StreamingExecutor exec(StreamingExecutor::Options{
-      .max_resident_lanes = 4, .arrangement = Arrangement::kRowWise});
+      .max_resident_lanes = 4, .workers = 2, .backend = exec::Backend::kInterpreted});
   std::vector<Word> got(fx.expected.size(), Word{0});
   exec.run(
       fx.program, fx.p, [&](Lane j, std::span<Word> dst) { fx.fill(j, dst); },

@@ -52,9 +52,18 @@ TEST_P(SimulatorAgreement, FunctionalMatchesHostAndTimeMatchesEstimator) {
   const UmmBulkExecutor sim(c.model, cfg, layout);
   const UmmRunResult sim_run = sim.run(program, inputs);
 
-  const HostBulkExecutor host(layout);
+  const HostBulkExecutor host(c.p);
   const HostRunResult host_run = host.run(program, inputs);
-  EXPECT_EQ(sim_run.memory, host_run.memory) << "functional divergence";
+  // The same words: arranged on the simulated machine, lane-major on the host.
+  const std::size_t n = program.memory_words;
+  ASSERT_EQ(sim_run.memory.size(), layout.total_words());
+  ASSERT_EQ(host_run.memory.size(), c.p * n);
+  for (Lane j = 0; j < c.p; ++j) {
+    for (Addr a = 0; a < n; ++a) {
+      ASSERT_EQ(sim_run.memory[layout.global(a, j)], host_run.memory[j * n + a])
+          << "functional divergence: lane " << j << " word " << a;
+    }
+  }
 
   const TimingEstimator estimator(c.model, cfg, layout);
   const TimingResult est = estimator.run(program);

@@ -2,17 +2,16 @@
 // from the command line.
 //
 //   obx_cli list     [--names]
-//   obx_cli run      <algorithm> --n 64 --p 256 [--arrangement row|col|blocked|cf]
-//                    [--arrangement-param B] [--workers K] [--seed S]
+//   obx_cli run      <algorithm> --n 64 --p 256 [--workers K] [--seed S]
+//                    (host engines are arrangement-free: --arrangement is
+//                    rejected here; plan forces one, time sweeps all four)
 //   obx_cli plan     <algorithm> [--n N] [--p P] [--width 32] [--latency 200]
 //                    [--group G] [--overlap] [--count-compute]
 //                    [--banks 32] [--bank-words W] [--shared-latency L]
 //                    [--arrangement row|col|blocked|cf] [--arrangement-param B]
-//                    [--tune] [--tune-trials T] [--tune-lanes P]
 //                    [--no-optimise] [--no-compile]
 //                    (print the cached ExecutionPlan: decisions + provenance;
-//                    --banks enables the shared/DMM tier, --tune refines the
-//                    arrangement search with real micro-measurements)
+//                    --banks enables the shared/DMM tier)
 //   obx_cli time     <algorithm> --n 64 --p 4096 [--width 32] [--latency 200]
 //                    [--group G] [--overlap] [--model umm|dmm]
 //                    [--banks 32] [--bank-words W] [--shared-latency L]
@@ -41,7 +40,7 @@
 //                    nonzero exit on any exactly-once violation)
 //   obx_cli fuzz     [--seed S] [--iters N] [--max-steps M] [--no-shrink]
 //                    [--no-faults] [--no-net] | [--replay FILE]
-//                    (differential fuzz of the backend/arrangement/SIMD matrix
+//                    (differential fuzz of the backend/SIMD/tile/worker matrix
 //                    against the interpreter, plus serve fault-injection
 //                    campaigns, protocol frame fuzz and a network fault
 //                    campaign; --replay re-checks a saved reproducer)
@@ -136,6 +135,9 @@ int cmd_run(const cli::Args& args) {
   const std::size_t n = static_cast<std::size_t>(args.get_int("n", 64));
   const std::size_t p = static_cast<std::size_t>(args.get_int("p", 64));
   const unsigned workers = static_cast<unsigned>(args.get_int("workers", 1));
+  OBX_CHECK(!args.has("arrangement") && !args.has("arrangement-param"),
+            "run takes no --arrangement: host engines are arrangement-free "
+            "(use 'obx_cli time' or 'obx_cli plan' for the simulated arrangements)");
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
 
   const trace::Program program = algo.make_program(n);
@@ -145,12 +147,8 @@ int cmd_run(const cli::Args& args) {
     const auto one = algo.make_input(n, rng);
     inputs.insert(inputs.end(), one.begin(), one.end());
   }
-  const bulk::Arrangement arr = arrangement_from(args);
-  const std::size_t arr_param = static_cast<std::size_t>(args.get_int(
-      "arrangement-param", arr == bulk::Arrangement::kBlocked ? 32 : 0));
   const auto t0 = std::chrono::steady_clock::now();
-  const bulk::BulkOutputs out =
-      bulk::run_bulk(program, inputs, p, arr, workers, arr_param);
+  const bulk::BulkOutputs out = bulk::run_bulk(program, inputs, p, workers);
   const auto t1 = std::chrono::steady_clock::now();
 
   // Verify every lane against the native reference.
@@ -196,9 +194,6 @@ int cmd_plan(const cli::Args& args) {
   if (args.has("arrangement")) options.arrangement = arrangement_from(args);
   options.arrangement_param =
       static_cast<std::size_t>(args.get_int("arrangement-param", 0));
-  options.tune.measure = args.get_bool("tune");
-  options.tune.trials = static_cast<std::size_t>(args.get_int("tune-trials", 3));
-  options.tune.lanes = static_cast<std::size_t>(args.get_int("tune-lanes", 0));
 
   const std::string id = algo.name + "/n=" + std::to_string(n);
   const std::shared_ptr<const plan::ExecutionPlan> plan =
@@ -760,10 +755,9 @@ int main(int argc, char** argv) {
         argc, argv,
         {"overlap", "count-compute", "optimize", "snapshot", "names",
          "no-optimise", "no-compile", "no-shrink", "no-faults", "no-net",
-         "bursty", "scrape", "tune"},
+         "bursty", "scrape"},
         {"n", "p", "width", "latency", "group", "banks", "bank-words",
-         "shared-latency", "arrangement-param", "tune-trials", "tune-lanes",
-         "model", "arrangement", "workers",
+         "shared-latency", "arrangement-param", "model", "arrangement", "workers",
          "seed", "sms", "algos", "jobs", "rate", "producers", "batch-lanes",
          "batch-delays-us", "batch-delay-us", "executors", "policy", "queue-cap",
          "deadline-us", "iters", "max-steps", "replay", "listen", "duration-s",
