@@ -20,7 +20,6 @@
 #include "bulk/bulk.hpp"
 #include "bulk/core_pool.hpp"
 #include "bulk/host_executor.hpp"
-#include "bulk/streaming_executor.hpp"
 #include "bulk/timing_estimator.hpp"
 #include "bulk/umm_executor.hpp"
 #include "common/rng.hpp"
@@ -65,7 +64,9 @@ void BM_HostExecutor(benchmark::State& state) {
   const std::size_t p = static_cast<std::size_t>(state.range(0));
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
-  const bulk::HostBulkExecutor exec(p);
+  // One-off plans (plan::one_off) run `program` itself on one engine.
+  const bulk::HostBulkExecutor exec(*plan::build_plan(program, plan::one_off({.workers = 1})),
+                                    p);
   for (auto _ : state) {
     auto run = exec.run(program, inputs);
     benchmark::DoNotOptimize(run.memory.data());
@@ -94,7 +95,7 @@ void BM_Fig11Backend(benchmark::State& state) {
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
   const bulk::HostBulkExecutor executor(
-      p, bulk::HostBulkExecutor::Options{.workers = 1, .backend = backend});
+      *plan::build_plan(program, plan::one_off({.backend = backend, .workers = 1})), p);
   exec::Backend resolved = backend;
   std::vector<Word> outputs;
   for (auto _ : state) {
@@ -133,7 +134,7 @@ void BM_DispatchOverhead(benchmark::State& state) {
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
   const bulk::HostBulkExecutor executor(
-      p, bulk::HostBulkExecutor::Options{.workers = 1, .backend = backend});
+      *plan::build_plan(program, plan::one_off({.backend = backend, .workers = 1})), p);
   exec::Backend resolved = backend;
   for (auto _ : state) {
     auto run = executor.run(program, inputs);
@@ -166,8 +167,9 @@ void BM_Fig11BackendScaling(benchmark::State& state) {
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
   const bulk::HostBulkExecutor executor(
-      p, bulk::HostBulkExecutor::Options{.workers = workers,
-                                         .backend = exec::Backend::kCompiled});
+      *plan::build_plan(program, plan::one_off({.backend = exec::Backend::kCompiled,
+                                                .workers = workers})),
+      p);
   bulk::SchedulerStats sched;
   for (auto _ : state) {
     auto run = executor.run(program, inputs);
@@ -210,8 +212,10 @@ void BM_SimdVsScalar(benchmark::State& state) {
     inputs.insert(inputs.end(), one.begin(), one.end());
   }
   const bulk::HostBulkExecutor executor(
-      p, bulk::HostBulkExecutor::Options{
-             .workers = 1, .backend = exec::Backend::kCompiled, .simd = isa});
+      *plan::build_plan(program, plan::one_off({.backend = exec::Backend::kCompiled,
+                                                .workers = 1,
+                                                .simd = isa})),
+      p);
   for (auto _ : state) {
     auto run = executor.run(program, inputs);
     benchmark::DoNotOptimize(run.memory.data());
@@ -331,19 +335,18 @@ void BM_StridedStepCost(benchmark::State& state) {
 }
 BENCHMARK(BM_StridedStepCost);
 
-void BM_StreamingExecutor(benchmark::State& state) {
+void BM_RunStreaming(benchmark::State& state) {
   // Overhead of batching + callbacks vs the monolithic host run.
   const std::size_t n = 64;
   const std::size_t p = 1 << 12;
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   const trace::Program program = algos::prefix_sums_program(n);
   const std::vector<Word> inputs = make_inputs(n, p);
-  const bulk::StreamingExecutor exec(
-      bulk::StreamingExecutor::Options{.max_resident_lanes = batch});
+  const auto plan = plan::build_plan(program, plan::one_off({.workers = 1}));
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    exec.run(
-        program, p,
+    plan::run_streaming(
+        *plan, p, batch,
         [&](Lane j, std::span<Word> dst) {
           const Word* src = inputs.data() + j * n;
           std::copy(src, src + n, dst.begin());
@@ -354,7 +357,7 @@ void BM_StreamingExecutor(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p * program.profile().total()));
 }
-BENCHMARK(BM_StreamingExecutor)->Arg(1 << 8)->Arg(1 << 12);
+BENCHMARK(BM_RunStreaming)->Arg(1 << 8)->Arg(1 << 12);
 
 void BM_AlgosSuite(benchmark::State& state) {
   // The whole registry as one serving-shaped scenario sweep: every algorithm
@@ -387,8 +390,9 @@ void BM_AlgosSuite(benchmark::State& state) {
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
     bulk::HostBulkExecutor executor(
-        p, bulk::HostBulkExecutor::Options{.workers = 1,
-                                           .backend = exec::Backend::kCompiled});
+        *plan::build_plan(program,
+                          plan::one_off({.backend = exec::Backend::kCompiled, .workers = 1})),
+        p);
     scenarios.push_back(Scenario{&algo, std::move(program), std::move(inputs),
                                  std::move(executor)});
   }

@@ -15,6 +15,7 @@
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "gpusim/virtual_gpu.hpp"
+#include "plan/plan.hpp"
 
 int main() {
   using namespace obx;
@@ -40,7 +41,7 @@ int main() {
   }
 
   // 2. Bulk-encrypt.
-  const bulk::BulkOutputs cipher = bulk::run_bulk(program, inputs, p);
+  const plan::BulkOutputs cipher = plan::run_bulk(program, inputs, p);
 
   // 3. Verify a sample of lanes against the native cipher, then decrypt one
   //    message end-to-end.

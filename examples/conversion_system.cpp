@@ -10,10 +10,10 @@
 #include <cstdio>
 #include <vector>
 
-#include "bulk/bulk.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "gpusim/virtual_gpu.hpp"
+#include "plan/plan.hpp"
 #include "trace/oblivious_checker.hpp"
 #include "trace/recorder.hpp"
 #include "trace/value.hpp"
@@ -66,7 +66,7 @@ int main() {
     const auto series = rng.words_f64(n, 0.0, 100.0);
     inputs.insert(inputs.end(), series.begin(), series.end());
   }
-  const bulk::BulkOutputs out = bulk::run_bulk(program, inputs, p);
+  const plan::BulkOutputs out = plan::run_bulk(program, inputs, p);
 
   for (std::size_t j = 0; j < p; j += 63) {
     double level = trace::as_f64(inputs[j * n]);

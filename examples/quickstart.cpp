@@ -9,10 +9,10 @@
 #include <vector>
 
 #include "algos/prefix_sums.hpp"
-#include "bulk/bulk.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "gpusim/virtual_gpu.hpp"
+#include "plan/plan.hpp"
 #include "trace/value.hpp"
 #include "umm/cost_model.hpp"
 
@@ -37,7 +37,7 @@ int main() {
   }
 
   // 3. Bulk-execute on the host (functional results).
-  const bulk::BulkOutputs outputs = bulk::run_bulk(program, inputs, p);
+  const plan::BulkOutputs outputs = plan::run_bulk(program, inputs, p);
 
   // 4. Verify a few lanes against the native sequential algorithm.
   std::size_t verified = 0;

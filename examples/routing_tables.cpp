@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "algos/floyd_warshall.hpp"
-#include "bulk/bulk.hpp"
 #include "common/rng.hpp"
+#include "plan/plan.hpp"
 #include "trace/interpreter.hpp"
 #include "trace/value.hpp"
 
@@ -34,7 +34,7 @@ int main() {
   }
 
   // 2. Bulk all-pairs shortest paths.
-  const bulk::BulkOutputs tables = bulk::run_bulk(program, inputs, p);
+  const plan::BulkOutputs tables = plan::run_bulk(program, inputs, p);
 
   // 3. Validate metric properties on every region.
   std::size_t reachable_pairs = 0, total_pairs = 0;

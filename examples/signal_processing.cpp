@@ -14,10 +14,10 @@
 #include <vector>
 
 #include "algos/fft.hpp"
-#include "bulk/bulk.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "gpusim/virtual_gpu.hpp"
+#include "plan/plan.hpp"
 #include "trace/value.hpp"
 
 int main() {
@@ -57,7 +57,7 @@ int main() {
   }
 
   // 3. Bulk-execute the FFT over all 512 blocks in lockstep.
-  const bulk::BulkOutputs spectra = bulk::run_bulk(program, inputs, p);
+  const plan::BulkOutputs spectra = plan::run_bulk(program, inputs, p);
 
   // 4. Detect bursts: a block is "hot" in bin k if |X_k| is large.
   std::printf("spectrogram scan over %zu blocks x %zu samples:\n", p, n);

@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "algos/bitonic_sort.hpp"
-#include "bulk/bulk.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "gpusim/virtual_gpu.hpp"
+#include "plan/plan.hpp"
 #include "trace/value.hpp"
 
 int main() {
@@ -38,7 +38,7 @@ int main() {
   }
 
   // 2. Bulk-sort all windows.
-  const bulk::BulkOutputs sorted = bulk::run_bulk(program, inputs, p);
+  const plan::BulkOutputs sorted = plan::run_bulk(program, inputs, p);
 
   // 3. Validate (sortedness + permutation) and extract robust statistics.
   std::size_t spiky_windows = 0;

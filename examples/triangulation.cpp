@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "algos/opt_triangulation.hpp"
-#include "bulk/bulk.hpp"
 #include "common/rng.hpp"
+#include "plan/plan.hpp"
 #include "trace/value.hpp"
 
 namespace {
@@ -90,7 +90,7 @@ int main() {
   }
 
   // 2. Bulk-execute Algorithm OPT for all polygons.
-  const bulk::BulkOutputs tables = bulk::run_bulk(program, inputs, p);
+  const plan::BulkOutputs tables = plan::run_bulk(program, inputs, p);
 
   // 3. Verify every polygon against the native DP and summarise.
   double min_weight = 1e300, max_weight = 0.0;

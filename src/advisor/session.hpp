@@ -73,7 +73,7 @@ class Session {
   explicit Session(SessionOptions options);
 
   /// Executes `program` for p lanes with callback-fed inputs and outputs
-  /// (the StreamingExecutor contract: fill_input(j, dst) writes lane j's
+  /// (the plan::run_streaming contract: fill_input(j, dst) writes lane j's
   /// input words; consume_output(j, out) receives its output region).
   SessionReport run(
       const trace::Program& program, std::size_t p,

@@ -21,13 +21,4 @@ Layout make_layout(const trace::Program& program, std::size_t p, Arrangement arr
   return Layout::column_wise(p, program.memory_words);
 }
 
-BulkOutputs run_bulk(const trace::Program& program, std::span<const Word> inputs,
-                     std::size_t p, unsigned workers) {
-  const HostBulkExecutor exec(p, HostBulkExecutor::Options{.workers = workers});
-  BulkOutputs out;
-  out.words_per_output = program.output_words;
-  exec.run_outputs(program, inputs, out.flat);
-  return out;
-}
-
 }  // namespace obx::bulk

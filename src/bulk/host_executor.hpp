@@ -8,10 +8,11 @@
 // exec's one tile driver and return lane-major results: the data
 // arrangement is a property of the simulated machine (bulk::Layout,
 // UmmBulkExecutor), not of the host.  Results are bit-identical to running
-// the scalar interpreter p times.
+// the scalar interpreter p times.  An executor is built from a
+// plan::ExecutionPlan and runs exactly what the plan decided.
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -21,6 +22,10 @@
 #include "bulk/core_pool.hpp"
 #include "exec/backend.hpp"
 #include "trace/program.hpp"
+
+namespace obx::exec {
+class JitProgram;
+}
 
 namespace obx::plan {
 class ExecutionPlan;
@@ -38,12 +43,14 @@ struct HostRunResult {
   /// Wall-clock of the tile driver — staging, lockstep and the epilogue —
   /// on every engine.  Allocating the result is excluded.
   double seconds = 0.0;
-  /// Engine that actually ran: kJit when emitted zero-dispatch code executed,
-  /// kCompiled when the switch backend did (requested, or JIT emission
-  /// unavailable), kInterpreted when the program exceeded the compile budget.
+  /// Engine that ran: always the plan's resolved engine
+  /// (plan::ExecutionPlan::backend()) — kJit when it emitted native code,
+  /// kCompiled when only the switch artifact exists, kInterpreted past the
+  /// compile budget or when the plan asked for it.
   exec::Backend backend = exec::Backend::kInterpreted;
-  /// SIMD tier the lockstep loop ran at (Options::simd if set — compiled
-  /// backend only — else the process-wide active_simd_isa()).
+  /// SIMD tier the lockstep loop ran at: the plan's provenance().simd on the
+  /// compiled and JIT engines; the process-wide active_simd_isa() on the
+  /// interpreter, whose ALU sweeps go through trace::bulk_alu.
   SimdIsa simd = SimdIsa::kScalar;
   /// What the CorePool scheduler did for this run's one region: tile tasks,
   /// cross-thread steals, submitter parks.  For workers <= 1 runs the region
@@ -54,48 +61,19 @@ struct HostRunResult {
 
 class HostBulkExecutor {
  public:
-  /// Compatibility shim over the planning layer: an Options struct carries
-  /// exactly the decisions plan::ExecutionPlan::host_options() emits for a
-  /// one-off plan.  New code should plan once (plan::Planner / PlanCache)
-  /// and use the plan-driven constructor below.
-  struct Options {
-    /// Parallelism target per bulk run: lane tiles are executed by up to
-    /// this many threads of the shared bulk::CorePool (the caller counts as
-    /// one).  1 = run inline on the caller; 0 = auto (default_worker_count).
-    unsigned workers = 1;
-    /// Lockstep engine.  kAuto / kJit / kCompiled compile the step stream
-    /// once per (program, process) and run fused lane-tiled kernels — kAuto
-    /// and kJit additionally emit per-segment native code (copy-and-patch,
-    /// zero dispatch) when the platform and OBX_JIT allow it.  Every rung
-    /// falls back down the ladder: jit -> compiled switch -> interpreter.
-    exec::Backend backend = exec::Backend::kAuto;
-    std::size_t tile_lanes = 0;  ///< compiled lane-tile size; 0 = auto (fit L1 + L2)
-    std::size_t compile_budget_steps = exec::kDefaultCompileBudget;
-    /// SIMD tier for the compiled backend's lane-vectorized kernels.
-    /// Unset = the process-wide active_simd_isa() (OBX_SIMD-overridable).
-    /// Setting it pins this executor's runs to one tier regardless of the
-    /// environment — every tier is bit-identical, so this is pure tuning
-    /// (and how tests compare scalar against vector in one process).  The
-    /// interpreted backend ignores it: its ALU sweeps go through
-    /// trace::bulk_alu, whose tier is latched process-wide.
-    std::optional<SimdIsa> simd{};
-  };
-
-  explicit HostBulkExecutor(std::size_t lanes);
-  HostBulkExecutor(std::size_t lanes, Options options);
-
-  /// Plan-driven construction: backend, tile size, compile budget and worker
-  /// count all come from the plan, for runs of `lanes` lanes.  run() must be
-  /// given plan.program() (the plan's optimised program) — or use
-  /// plan::run(), which cannot get the pairing wrong.  Defined in
-  /// src/plan/executor_shim.cpp: link obx_plan (or obx::obx).
+  /// Runs of `lanes` lanes of the plan's program on the engine the plan
+  /// resolved, with its tile setting, worker count and SIMD tier.  The
+  /// executor shares the plan's compiled/emitted artifacts; it never
+  /// compiles.  Defined in src/plan/plan.cpp: link obx_plan (or obx::obx).
   HostBulkExecutor(const plan::ExecutionPlan& plan, std::size_t lanes);
 
   /// Image path: runs `program` on p inputs given lane-major flat (input j
   /// occupies inputs[j*program.input_words ... )) and returns every lane's
   /// final memory in HostRunResult::memory, lane-major (p·n words).
-  /// Requires inputs.size() == p * program.input_words.  The program's
-  /// stream factory must be safe to invoke concurrently.
+  /// `program` must be plan.program() or a copy of it (sharing its
+  /// exec_cache slot) — anything else throws std::logic_error.  Requires
+  /// inputs.size() == p * program.input_words.  The program's stream factory
+  /// must be safe to invoke concurrently.
   HostRunResult run(const trace::Program& program, std::span<const Word> inputs) const;
 
   /// Output path: as run(), but each tile's epilogue copies only the lane's
@@ -122,7 +100,13 @@ class HostBulkExecutor {
                         std::vector<Word>* outputs) const;
 
   std::size_t lanes_;
-  Options options_;
+  unsigned workers_;
+  std::size_t tile_lanes_;  ///< the plan's knob; 0 = auto
+  SimdIsa simd_;
+  std::shared_ptr<const exec::CompiledProgram> compiled_;
+  std::shared_ptr<const exec::JitProgram> jitted_;
+  /// plan.program()'s memo slot: the programs this executor may run.
+  std::shared_ptr<const trace::ExecCacheSlot> slot_;
 };
 
 }  // namespace obx::bulk

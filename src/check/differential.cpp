@@ -190,57 +190,43 @@ std::optional<Divergence> run_config(const trace::Program& program,
     return d;
   };
 
-  // Every config runs twice: the image path (run(), every lane's final
-  // memory) and the output path (run_outputs() / plan::run with outputs).
+  // Every config runs a plan of the unoptimised program (the oracle is its
+  // full memory image, so scratch words must stay comparable), twice: the
+  // image path (every lane's final memory) and the output path.  A direct
+  // config is a one-off plan with its own engine, tier, tile and budget;
+  // the planner config keeps every other default.
+  plan::PlanOptions po{.reference_lanes = p, .optimise = false, .workers = config.workers};
+  // Budget-variant configs plan a copy with a private exec-cache slot: the
+  // process-wide slot memoises the first successful compile, which would
+  // otherwise hand a cached artifact to a config whose budget should refuse
+  // to build one.
+  trace::Program subject = program;
+  if (!config.via_planner) {
+    po = plan::one_off(po);
+    po.backend = config.backend;
+    po.tile_lanes = config.tile_lanes;
+    if (config.backend != exec::Backend::kInterpreted) po.simd = config.simd;
+    if (config.compile_budget_steps != 0) {
+      po.compile_budget_steps = config.compile_budget_steps;
+      subject.exec_cache = std::make_shared<trace::ExecCacheSlot>();
+    }
+  }
+
   bulk::HostRunResult image;
   bulk::HostRunResult out_run;
   std::vector<Word> outputs;
-  if (config.via_planner) {
-    plan::PlanOptions po;
-    po.reference_lanes = p;
-    po.workers = config.workers;
-    // The oracle is the unoptimised program's full memory image; keep the
-    // optimiser out so scratch words stay comparable.
-    po.optimise = false;
-    try {
-      const std::shared_ptr<const plan::ExecutionPlan> plan =
-          plan::Planner(po).build(program);
-      image = plan::run(*plan, inputs, p);
-      out_run = plan::run(*plan, inputs, p, &outputs);
-    } catch (const std::exception& e) {
-      return fail(std::string("threw: ") + e.what());
-    }
-  } else {
-    // Budget-variant configs run against a private exec-cache slot: the
-    // process-wide slot memoises the first successful compile, which would
-    // otherwise hand a cached artifact to a config whose budget should
-    // refuse to build one.
-    trace::Program subject = program;
-    if (config.compile_budget_steps != 0) {
-      subject.exec_cache = std::make_shared<trace::ExecCacheSlot>();
-    }
-
-    bulk::HostBulkExecutor::Options options;
-    options.workers = config.workers;
-    options.backend = config.backend;
-    options.tile_lanes = config.tile_lanes;
-    if (config.compile_budget_steps != 0) {
-      options.compile_budget_steps = config.compile_budget_steps;
-    }
-    if (config.backend != exec::Backend::kInterpreted) options.simd = config.simd;
-
-    const bulk::HostBulkExecutor executor(p, options);
-    try {
-      image = executor.run(subject, inputs);
-      out_run = executor.run_outputs(subject, inputs, outputs);
-    } catch (const std::exception& e) {
-      return fail(std::string("threw: ") + e.what());
-    }
-    for (const bulk::HostRunResult* run : {&image, &out_run}) {
-      if (config.expect_backend.has_value() && run->backend != *config.expect_backend) {
-        return fail("expected backend " + exec::to_string(*config.expect_backend) +
-                    ", ran " + exec::to_string(run->backend));
-      }
+  try {
+    const std::shared_ptr<const plan::ExecutionPlan> plan =
+        plan::Planner(po).build(std::move(subject));
+    image = plan::run(*plan, inputs, p);
+    out_run = plan::run(*plan, inputs, p, &outputs);
+  } catch (const std::exception& e) {
+    return fail(std::string("threw: ") + e.what());
+  }
+  for (const bulk::HostRunResult* run : {&image, &out_run}) {
+    if (config.expect_backend.has_value() && run->backend != *config.expect_backend) {
+      return fail("expected backend " + exec::to_string(*config.expect_backend) +
+                  ", ran " + exec::to_string(run->backend));
     }
   }
 

@@ -4,9 +4,10 @@
 // The paper's Theorem 2 rests on the trace being data-independent: every
 // execution path — interpreted, compiled or JIT, any SIMD tier, any
 // lane-tile split, any worker count — must produce bit-identical lane-major
-// memory images (HostBulkExecutor::run), and the output path
-// (HostBulkExecutor::run_outputs) bit-identical output regions.  This
-// header enumerates that path matrix and checks a program against all of it.
+// memory images (plan::run), and the output path (plan::run with outputs)
+// bit-identical output regions.  Each config is one plan::ExecutionPlan.
+// This header enumerates that path matrix and checks a program against all
+// of it.
 //
 // Matrix axes:
 //   backend      interpreted, compiled, JIT (plus compile-budget straddles: a
@@ -45,9 +46,10 @@ struct ExecConfig {
   /// budget-straddle configs to prove the fallback actually happened).
   std::optional<exec::Backend> expect_backend;
   unsigned workers = 1;
-  /// Route the run through plan::Planner (arrangement search) instead of a
-  /// directly-constructed executor.  Whatever the plan decides must still
-  /// be bit-identical to the oracle.
+  /// Plan with default options (arrangement search, kAuto, the process
+  /// tier, auto tile) instead of this config's engine, tier, tile and
+  /// budget.  Whatever the plan decides must still be bit-identical to the
+  /// oracle.
   bool via_planner = false;
 
   std::string name() const;

@@ -80,12 +80,12 @@ CampaignReport run_fault_campaign(const CampaignOptions& options) {
       producers.emplace_back([&, t] {
         for (std::size_t j = 0; j < options.jobs_per_producer; ++j) {
           std::vector<Word> input = {Word{t}, Word{j}};
-          std::optional<serve::Clock::duration> deadline;
+          serve::SubmitOptions submit;
           if (options.with_deadlines && j % 3 == 0) {
-            deadline = std::chrono::microseconds(50 + 25 * (j % 5));
+            submit.deadline = std::chrono::microseconds(50 + 25 * (j % 5));
           }
           futures[t * options.jobs_per_producer + j] =
-              svc.submit("probe", std::move(input), deadline);
+              svc.submit("probe", std::move(input), submit);
         }
       });
     }

@@ -23,13 +23,14 @@
 
 namespace obx::exec {
 
-/// Which lockstep engine HostBulkExecutor uses.  kAuto prefers the
-/// copy-and-patch JIT (zero per-superinstruction dispatch; see
-/// exec/jit/jit_program.hpp), degrading to the compiled switch backend when
-/// emission is unavailable (non-x86-64/non-Linux, OBX_JIT=0, arena failure)
-/// and to the interpreter when the program exceeds the compile budget.
-/// kJit and kCompiled ride the same ladder from their own rung — both fall
-/// back (with the fallback recorded in the run result) rather than failing.
+/// Which lockstep engine a plan requests (plan::PlanOptions::backend) and
+/// resolves.  kAuto prefers the copy-and-patch JIT (zero
+/// per-superinstruction dispatch; see exec/jit/jit_program.hpp), degrading
+/// to the compiled switch backend when emission is unavailable
+/// (non-x86-64/non-Linux, OBX_JIT=0, arena failure) and to the interpreter
+/// when the program exceeds the compile budget.  kJit and kCompiled ride the
+/// same ladder from their own rung — both fall back (with the fallback
+/// recorded in the plan's provenance) rather than failing.
 /// kJit is last so the numeric values of the pre-JIT backends — which plan
 /// fingerprints fold in — are unchanged.
 enum class Backend : std::uint8_t { kAuto, kInterpreted, kCompiled, kJit };

@@ -1,6 +1,7 @@
 #include "plan/plan.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 
@@ -9,6 +10,7 @@
 #include "bulk/core_pool.hpp"
 #include "bulk/timing_estimator.hpp"
 #include "exec/jit/jit_program.hpp"
+#include "plan/planner.hpp"
 
 namespace obx::plan {
 
@@ -49,7 +51,6 @@ std::uint64_t PlanOptions::fingerprint() const {
   d.mix(reference_lanes);
   d.mix_bool(optimise);
   d.mix(optimise_step_limit);
-  d.mix_bool(compile);
   d.mix(compile_budget_steps);
   d.mix(static_cast<std::uint64_t>(backend));
   d.mix(tile_lanes);
@@ -58,12 +59,16 @@ std::uint64_t PlanOptions::fingerprint() const {
             ? static_cast<std::uint64_t>(*arrangement) + 1
             : 0);
   d.mix(arrangement_param);
+  d.mix(simd.has_value() ? static_cast<std::uint64_t>(*simd) + 1 : 0);
   return d.h;
 }
 
 void PlanOptions::validate() const {
   machine.validate();
   OBX_CHECK(reference_lanes > 0, "reference lane count must be positive");
+  OBX_CHECK(!simd.has_value() || simd_isa_supported(*simd),
+            "SIMD tier " + to_string(simd.value_or(SimdIsa::kScalar)) +
+                " is not supported on this CPU");
 }
 
 std::string ArrangementCandidate::name() const {
@@ -99,26 +104,6 @@ std::size_t ExecutionPlan::resident_lanes_for_budget(std::size_t budget_words,
 
 bulk::Layout ExecutionPlan::layout(std::size_t lanes) const {
   return bulk::make_layout(program_, lanes, arrangement_, arrangement_param_);
-}
-
-bulk::HostBulkExecutor::Options ExecutionPlan::host_options() const {
-  return bulk::HostBulkExecutor::Options{
-      .workers = workers_,
-      .backend = backend_,
-      .tile_lanes = options_.tile_lanes,
-      .compile_budget_steps = options_.compile_budget_steps,
-      .simd = provenance_.simd};
-}
-
-bulk::StreamingExecutor::Options ExecutionPlan::streaming_options(
-    std::size_t max_resident_lanes) const {
-  return bulk::StreamingExecutor::Options{
-      .max_resident_lanes = max_resident_lanes,
-      .workers = workers_,
-      .backend = backend_,
-      .tile_lanes = options_.tile_lanes,
-      .compile_budget_steps = options_.compile_budget_steps,
-      .simd = provenance_.simd};
 }
 
 std::string ExecutionPlan::describe() const {
@@ -162,9 +147,7 @@ std::string ExecutionPlan::describe() const {
 
   os << "  compile     : ";
   if (!pv.compile_attempted) {
-    os << (options_.backend == exec::Backend::kInterpreted
-               ? "skipped (interpreted backend)"
-               : "disabled");
+    os << "skipped (interpreted backend)";
   } else if (!pv.compiled) {
     os << "fallback (over budget " << options_.compile_budget_steps << ")";
   } else {
@@ -232,6 +215,25 @@ std::string ExecutionPlan::describe() const {
   return os.str();
 }
 
+}  // namespace obx::plan
+
+namespace obx::bulk {
+
+// Declared on the executor, defined here: bulk/ sits below plan/ in the
+// layering and must not link upward.
+HostBulkExecutor::HostBulkExecutor(const plan::ExecutionPlan& plan, std::size_t lanes)
+    : lanes_(lanes),
+      workers_(plan.workers()),
+      tile_lanes_(plan.tile_lanes()),
+      simd_(plan.provenance().simd),
+      compiled_(plan.compiled()),
+      jitted_(plan.jitted()),
+      slot_(plan.program().exec_cache) {}
+
+}  // namespace obx::bulk
+
+namespace obx::plan {
+
 bulk::HostRunResult run(const ExecutionPlan& plan, std::span<const Word> inputs,
                         std::size_t p, std::vector<Word>* outputs) {
   const bulk::HostBulkExecutor exec(plan, p);
@@ -239,12 +241,64 @@ bulk::HostRunResult run(const ExecutionPlan& plan, std::span<const Word> inputs,
   return exec.run(plan.program(), inputs);
 }
 
-bulk::StreamingExecutor::Stats run_streaming(
+PlanOptions one_off(PlanOptions options) {
+  options.optimise = false;
+  options.arrangement = bulk::Arrangement::kColumnWise;
+  return options;
+}
+
+BulkOutputs run_bulk(const trace::Program& program, std::span<const Word> inputs,
+                     std::size_t p, unsigned workers) {
+  const std::shared_ptr<const ExecutionPlan> plan =
+      Planner(one_off({.workers = workers})).build(program);
+  BulkOutputs out;
+  out.words_per_output = program.output_words;
+  run(*plan, inputs, p, &out.flat);
+  return out;
+}
+
+StreamingStats run_streaming(
     const ExecutionPlan& plan, std::size_t p, std::size_t max_resident_lanes,
     const std::function<void(Lane, std::span<Word>)>& fill_input,
     const std::function<void(Lane, std::span<const Word>)>& consume_output) {
-  const bulk::StreamingExecutor exec(plan, max_resident_lanes);
-  return exec.run(plan.program(), p, fill_input, consume_output);
+  OBX_CHECK(max_resident_lanes > 0, "need at least one resident lane");
+  OBX_CHECK(fill_input != nullptr && consume_output != nullptr, "callbacks required");
+  const trace::Program& program = plan.program();
+
+  StreamingStats stats;
+  stats.lanes = p;
+  using Clock = std::chrono::steady_clock;
+  const auto elapsed = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
+
+  std::vector<Word> inputs;
+  std::vector<Word> outputs;
+  for (Lane base = 0; base < p; base += max_resident_lanes) {
+    const std::size_t batch = std::min<std::size_t>(max_resident_lanes, p - base);
+    inputs.assign(batch * program.input_words, Word{0});
+    const auto fill_start = Clock::now();
+    for (std::size_t j = 0; j < batch; ++j) {
+      fill_input(base + j,
+                 std::span<Word>(inputs.data() + j * program.input_words,
+                                 program.input_words));
+    }
+
+    const auto exec_start = Clock::now();
+    run(plan, inputs, batch, &outputs);
+    const auto consume_start = Clock::now();
+    for (std::size_t j = 0; j < batch; ++j) {
+      consume_output(base + j,
+                     std::span<const Word>(outputs.data() + j * program.output_words,
+                                           program.output_words));
+    }
+    const auto batch_end = Clock::now();
+    stats.callback_seconds +=
+        elapsed(fill_start, exec_start) + elapsed(consume_start, batch_end);
+    stats.execute_seconds += elapsed(exec_start, consume_start);
+    ++stats.batches;
+  }
+  return stats;
 }
 
 }  // namespace obx::plan

@@ -1,37 +1,38 @@
 // ExecutionPlan: the one place where input-independent execution decisions
-// are made and remembered.
+// are made and remembered, and the only way to configure a host run.
 //
 // Theorem 2's win comes from paying per-program costs once and amortising
-// them over every lane of every bulk run.  Before this layer, three call
-// sites re-derived the same decisions with drifting defaults — the serving
-// layer's PreparedProgram (optimise + arrange + eager compile), the
-// advisor's Session (optimise + characterise + arrange + batch sizing), and
-// the executor option structs (backend, tile size, compile budget).  A plan
-// captures all of it, immutably:
+// them over every lane of every bulk run.  A plan captures every such
+// decision, immutably:
 //
 //   - the optimised trace::Program (or the original when the optimiser is
 //     disabled, the program is too long to capture, or no pass won),
-//   - the shared exec::CompiledProgram artifact (also memoised through the
-//     program's exec_cache slot, so executors pick it up for free),
+//   - the shared exec::CompiledProgram artifact and, where native code could
+//     be emitted, the exec::JitProgram (both also memoised through the
+//     program's exec_cache slot),
+//   - the resolved engine: the jit → compiled → interpreted fallback is
+//     decided here, at build time, and nowhere else,
 //   - the chosen bulk::Arrangement for the simulated machine (a search over
 //     row / column / blocked / conflict-free by simulated DMM+UMM units at a
 //     reference occupancy, unless forced; host engines are
 //     arrangement-free),
-//   - the lane-tile knob, resolved backend, and worker count,
+//   - the lane-tile knob, SIMD tier and worker count,
 //   - a memoised per-occupancy simulated-UMM-units estimate, and
 //   - a provenance record of which passes and decisions fired.
 //
 // Plans are built by plan::Planner (see planner.hpp), shared as
 // shared_ptr<const ExecutionPlan>, and cached process-wide by plan::PlanCache
-// (see plan_cache.hpp).  Executors consume them directly:
+// (see plan_cache.hpp).  Executors are built from them and run exactly what
+// they decided:
 //
 //   auto plan = plan::Planner(options).build(program);
-//   bulk::HostBulkExecutor exec(*plan, p);            // plan-driven
+//   bulk::HostBulkExecutor exec(*plan, p);
 //   auto result = exec.run(plan->program(), inputs);  // always the plan's
 //                                                     // (optimised) program
 //
-// or through the plan::run / plan::run_streaming conveniences below, which
-// cannot get the program/plan pairing wrong.
+// or through plan::run / plan::run_streaming below, which cannot get the
+// program/plan pairing wrong.  plan::run_bulk is the one-call form for a
+// program nobody planned yet.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,6 @@
 #include "common/types.hpp"
 #include "bulk/host_executor.hpp"
 #include "bulk/layout.hpp"
-#include "bulk/streaming_executor.hpp"
 #include "exec/backend.hpp"
 #include "exec/compiled_program.hpp"
 #include "opt/optimizer.hpp"
@@ -79,15 +79,15 @@ struct PlanOptions {
   bool optimise = true;
   std::size_t optimise_step_limit = std::size_t{1} << 22;
 
-  /// Compile for the fused lane-tiled backend at plan-build time, so no run
-  /// ever pays the one-time stream drain (ignored when `backend` is
-  /// kInterpreted).  An over-budget compile falls back to the interpreter,
-  /// recorded in the provenance.
-  bool compile = true;
+  /// Programs up to this many steps are compiled for the fused lane-tiled
+  /// backend at plan-build time, so no run ever pays the one-time stream
+  /// drain.  An over-budget compile falls back to the interpreter, recorded
+  /// in the provenance.
   std::size_t compile_budget_steps = exec::kDefaultCompileBudget;
 
-  /// Requested lockstep engine; the plan resolves kAuto / kCompiled to
-  /// whichever engine will actually run (see ExecutionPlan::backend()).
+  /// Requested lockstep engine; the plan resolves kAuto / kJit / kCompiled
+  /// to whichever engine will actually run (see ExecutionPlan::backend()).
+  /// kInterpreted skips the compile.
   exec::Backend backend = exec::Backend::kAuto;
 
   /// Compiled lane-tile size; 0 = auto (fit the register tile in L1).
@@ -101,7 +101,7 @@ struct PlanOptions {
   /// Force an arrangement instead of searching.  All four arrangements are
   /// plannable; kBlocked / kConflictFree take their parameter from
   /// arrangement_param.
-  std::optional<bulk::Arrangement> arrangement;
+  std::optional<bulk::Arrangement> arrangement{};
 
   /// Parameter of a forced kBlocked (block size) or kConflictFree (pad
   /// stride) arrangement; 0 = auto (machine width for blocked, the shared
@@ -109,14 +109,21 @@ struct PlanOptions {
   /// row-/column-wise.
   std::size_t arrangement_param = 0;
 
+  /// SIMD tier of the compiled and JIT kernels.  Unset = the process-wide
+  /// active_simd_isa() (OBX_SIMD-overridable, latched).  Every tier is
+  /// bit-identical, so a pin is pure tuning — and how tests and the fuzzer
+  /// compare tiers in one process.  Must be a tier this CPU supports.  The
+  /// interpreter ignores it: trace::bulk_alu's tier is latched process-wide.
+  std::optional<SimdIsa> simd{};
+
   /// Deterministic 64-bit digest of every knob above (machine included).
   /// Same options => same fingerprint, on any host.  Part of the PlanCache
   /// key and of ExecutionPlan::fingerprint() — which is how decisions are
   /// memoised in PlanCache per (program, machine, occupancy, knobs).
   std::uint64_t fingerprint() const;
 
-  /// Throws std::logic_error on an invalid machine shape or zero reference
-  /// occupancy.
+  /// Throws std::logic_error on an invalid machine shape, zero reference
+  /// occupancy, or a SIMD pin this CPU cannot run.
   void validate() const;
 };
 
@@ -176,12 +183,13 @@ struct PlanProvenance {
   /// Tile size resolve_tile_lanes() picks at reference_lanes occupancy.
   std::size_t resolved_tile_lanes = 0;
 
-  /// SIMD tier the lockstep kernels dispatch to — the process-wide
-  /// active_simd_isa() at plan-build time (OBX_SIMD-overridable, latched) —
-  /// and its vector width in 64-bit words.  Part of the plan fingerprint:
-  /// the tier changes which code runs and how tiles are rounded, even though
+  /// SIMD tier the lockstep kernels dispatch to — PlanOptions::simd when
+  /// pinned, else the process-wide active_simd_isa() at plan-build time
+  /// (OBX_SIMD-overridable, latched) — and its vector width in 64-bit words.
+  /// The JIT is emitted for this tier.  Part of the plan fingerprint: the
+  /// tier changes which code runs and how tiles are rounded, even though
   /// results are bit-identical across tiers.  Executors built from this plan
-  /// are pinned to the recorded tier via host_options()/streaming_options().
+  /// run at the recorded tier.
   SimdIsa simd = SimdIsa::kScalar;
   std::size_t simd_width = 1;
 
@@ -194,7 +202,7 @@ struct PlanProvenance {
   /// SIMD tier: a different pool shape means different code paths run even
   /// though results are bit-identical.  Per-run steal/park counts are
   /// runtime observations, not decisions — they live in
-  /// HostRunResult::sched / StreamingExecutor::Stats::sched.
+  /// HostRunResult::sched.
   unsigned resolved_workers = 1;
   unsigned pool_workers = 1;
   bool pool_pinned = false;
@@ -209,8 +217,9 @@ class ExecutionPlan {
   ExecutionPlan& operator=(const ExecutionPlan&) = delete;
 
   /// The program the plan executes — already optimised when the optimiser
-  /// won.  Its exec_cache slot holds the compiled artifact, so any executor
-  /// running this program reuses the compile for free.
+  /// won.  Executors built from the plan run only this program (or a copy,
+  /// which shares its exec_cache slot): the plan's artifacts were built
+  /// from it.
   const trace::Program& program() const { return program_; }
 
   bulk::Arrangement arrangement() const { return arrangement_; }
@@ -229,9 +238,9 @@ class ExecutionPlan {
     return compiled_;
   }
 
-  /// Non-null iff backend() == kJit: the emitted copy-and-patch code (also
-  /// memoised through the program's exec_cache slot, so executors pick it up
-  /// without re-emitting).
+  /// Non-null iff backend() == kJit: the emitted copy-and-patch code, for
+  /// provenance().simd (also memoised through the program's exec_cache
+  /// slot, so a second plan of the same program does not re-emit).
   const std::shared_ptr<const exec::JitProgram>& jitted() const { return jitted_; }
 
   /// Lane-tile knob (0 = auto); the concrete tile still depends on the
@@ -267,12 +276,6 @@ class ExecutionPlan {
   /// on the simulated machine (host runs are lane-major at any arrangement).
   bulk::Layout layout(std::size_t lanes) const;
 
-  /// The executor option structs this plan stands for.  Exists so the
-  /// pre-plan Options surface keeps working; prefer the plan-driven executor
-  /// constructors or plan::run / plan::run_streaming.
-  bulk::HostBulkExecutor::Options host_options() const;
-  bulk::StreamingExecutor::Options streaming_options(std::size_t max_resident_lanes) const;
-
   /// Human- and diff-friendly description of decisions + provenance +
   /// estimated units (the `obx_cli plan` output; golden-tested, so the text
   /// is deterministic across hosts).
@@ -298,17 +301,57 @@ class ExecutionPlan {
 };
 
 /// Plan-driven monolithic run: executes plan.program() over p lane-major
-/// inputs with the plan's backend/tile/workers.  When `outputs` is non-null
-/// the run takes the output path (HostBulkExecutor::run_outputs): `outputs`
-/// receives the lane-major output regions and the result's `memory` is
-/// empty.  With `outputs` null the result carries every lane's final memory,
-/// lane-major (p·n words).
+/// inputs on the plan's engine, tile, workers and SIMD tier.  When `outputs`
+/// is non-null the run takes the output path
+/// (HostBulkExecutor::run_outputs): `outputs` receives the lane-major output
+/// regions and the result's `memory` is empty.  With `outputs` null the
+/// result carries every lane's final memory, lane-major (p·n words).
 bulk::HostRunResult run(const ExecutionPlan& plan, std::span<const Word> inputs,
                         std::size_t p, std::vector<Word>* outputs = nullptr);
 
-/// Plan-driven streaming run: plan.program() over p callback-fed lanes in
-/// resident batches of at most max_resident_lanes.
-bulk::StreamingExecutor::Stats run_streaming(
+struct BulkOutputs {
+  std::vector<Word> flat;  ///< lane-major: output j at [j*words, (j+1)*words)
+  std::size_t words_per_output = 0;
+
+  std::span<const Word> output(Lane j) const {
+    return std::span<const Word>(flat).subspan(j * words_per_output, words_per_output);
+  }
+  std::size_t count() const {
+    return words_per_output == 0 ? 0 : flat.size() / words_per_output;
+  }
+};
+
+/// The options of a one-off plan that runs a program as given: `options`
+/// with the optimiser off (the plan's program is the caller's, sharing its
+/// exec_cache slot, and every memory word stays comparable with
+/// trace::interpret of it) and a forced column-wise arrangement (no
+/// arrangement search runs).
+PlanOptions one_off(PlanOptions options);
+
+/// One call from "a Program and p inputs" (lane-major flat) to "p outputs",
+/// on up to `workers` host threads: runs a plan built with
+/// one_off({.workers = workers}).  Callers that run a program more than
+/// once should plan it once and use run().
+BulkOutputs run_bulk(const trace::Program& program, std::span<const Word> inputs,
+                     std::size_t p, unsigned workers = 1);
+
+/// What one run_streaming call did.
+struct StreamingStats {
+  std::size_t batches = 0;
+  std::size_t lanes = 0;
+  double execute_seconds = 0.0;   ///< engine time: lockstep run and outputs
+  double callback_seconds = 0.0;  ///< time spent inside fill_input/consume_output
+  double seconds() const { return execute_seconds + callback_seconds; }
+};
+
+/// Memory-bounded run: plan.program() over p lanes in resident batches of at
+/// most max_resident_lanes, so peak memory is O(batch · n) whatever p is
+/// (figure-scale lane counts cannot be materialised as one p·n array).
+/// fill_input(j, dst) must write lane j's input_words into dst;
+/// consume_output(j, out) receives lane j's output region.  Callbacks are
+/// invoked from the calling thread, in lane order.  Results are
+/// bit-identical to one monolithic run().
+StreamingStats run_streaming(
     const ExecutionPlan& plan, std::size_t p, std::size_t max_resident_lanes,
     const std::function<void(Lane, std::span<Word>)>& fill_input,
     const std::function<void(Lane, std::span<const Word>)>& consume_output);

@@ -9,7 +9,8 @@
 
 namespace obx::plan {
 
-PlanCache::PlanCache(PlanOptions defaults) : defaults_(defaults) {
+PlanCache::PlanCache(PlanOptions defaults)
+    : defaults_(defaults), defaults_key_suffix_(key_of("", defaults)) {
   defaults_.validate();
 }
 
@@ -66,15 +67,19 @@ std::shared_ptr<const ExecutionPlan> PlanCache::get_or_build(
 }
 
 std::shared_ptr<const ExecutionPlan> PlanCache::lookup(const std::string& id) const {
-  return lookup(id, defaults_);
+  return find(id + defaults_key_suffix_);
 }
 
 std::shared_ptr<const ExecutionPlan> PlanCache::lookup(const std::string& id,
                                                        const PlanOptions& options) const {
+  return find(key_of(id, options));
+}
+
+std::shared_ptr<const ExecutionPlan> PlanCache::find(const std::string& key) const {
   std::shared_future<std::shared_ptr<const ExecutionPlan>> future;
   {
     std::lock_guard lock(mutex_);
-    const auto it = entries_.find(key_of(id, options));
+    const auto it = entries_.find(key);
     if (it == entries_.end()) return nullptr;
     future = it->second.plan;
   }

@@ -79,8 +79,12 @@ class PlanCache {
   };
 
   static std::string key_of(const std::string& id, const PlanOptions& options);
+  std::shared_ptr<const ExecutionPlan> find(const std::string& key) const;
 
   PlanOptions defaults_;
+  /// key_of(id, defaults_) minus the id, so the hot one-argument lookup()
+  /// does not re-digest the options on every call.
+  std::string defaults_key_suffix_;
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;
 };

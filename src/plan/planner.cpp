@@ -125,8 +125,10 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
   }
 
   // 2. Compile — once per (program, process) through the shared exec_cache
-  //    slot; an over-budget stream is a recorded interpreter fallback.
-  if (options_.compile && options_.backend != exec::Backend::kInterpreted) {
+  //    slot; an over-budget stream is a recorded interpreter fallback.  This
+  //    and step 2b are the engine ladder (jit → compiled → interpreted): the
+  //    executors run whatever rung it resolves to.
+  if (options_.backend != exec::Backend::kInterpreted) {
     pv.compile_attempted = true;
     plan->compiled_ = exec::CompiledProgram::get_or_compile(
         plan->program_, {.max_steps = options_.compile_budget_steps});
@@ -138,13 +140,15 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
   }
 
   // 2b. Emit — copy-and-patch per-segment native code over the compiled
-  //     artifact, memoised in the same exec_cache slot.  kCompiled keeps the
-  //     switch engine directly requestable; any emission failure is a
-  //     recorded fallback to it.
+  //     artifact, for the plan's SIMD tier (pinned, else the process-wide
+  //     one; results are tier-independent), memoised in the same exec_cache
+  //     slot.  kCompiled keeps the switch engine directly requestable; any
+  //     emission failure is a recorded fallback to it.
+  pv.simd = options_.simd.value_or(active_simd_isa());
+  pv.simd_width = simd_width_words(pv.simd);
   if (plan->compiled_ != nullptr && options_.backend != exec::Backend::kCompiled) {
     pv.jit_attempted = true;
-    plan->jitted_ = exec::JitProgram::get_or_emit(plan->program_, plan->compiled_,
-                                                  active_simd_isa());
+    plan->jitted_ = exec::JitProgram::get_or_emit(plan->program_, plan->compiled_, pv.simd);
     if (plan->jitted_ != nullptr) {
       pv.jitted = true;
       pv.jit_code_bytes = plan->jitted_->code_bytes();
@@ -207,12 +211,9 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
   }
   plan->units_by_lanes_.emplace(options_.reference_lanes, chosen_units);
 
-  // 4. SIMD + tile — record the tier the kernels will dispatch to (latched
-  //    per process, OBX_SIMD-overridable; results are tier-independent) and
-  //    what the tile resolution picks at the reference occupancy under that
-  //    tier's vector width (each run still resolves for its own lane count).
-  pv.simd = active_simd_isa();
-  pv.simd_width = simd_width_words(pv.simd);
+  // 4. Tile — record what the tile resolution picks at the reference
+  //    occupancy under the plan tier's vector width (each run still resolves
+  //    for its own lane count).
   const std::size_t reg_count =
       plan->compiled_ != nullptr
           ? plan->compiled_->register_count()

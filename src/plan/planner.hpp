@@ -1,11 +1,12 @@
 // Planner: the single implementation of the optimise → compile → arrange →
 // tile decision path.
 //
-// Every prepare path in the tree routes through here — serve::ProgramCache,
-// advisor::Session, the plan-driven executor constructors, and obx_cli's
-// `plan` subcommand — so the decisions cannot drift between layers.  The
-// build is deterministic: the same (program stream, options) always produce
-// the same decisions and the same ExecutionPlan::fingerprint().
+// Every host run in the tree is planned here — serve::ProgramCache,
+// advisor::Session, plan::run_bulk, the differential fuzzer and obx_cli —
+// and executors only run what a plan decided, so the decisions cannot drift
+// between layers.  The build is deterministic: the same (program stream,
+// options) always produce the same decisions and the same
+// ExecutionPlan::fingerprint().
 #pragma once
 
 #include <memory>
@@ -23,7 +24,9 @@ class Planner {
   /// Builds an immutable plan for `program`:
   ///   1. optimise  — peephole passes, adopted only when steps were removed;
   ///   2. compile   — drain + fuse once into the program's shared exec_cache
-  ///                  slot (over-budget => interpreter fallback, recorded);
+  ///                  slot (over-budget => interpreter fallback, recorded),
+  ///                  then emit native code for the plan's SIMD tier where
+  ///                  the backend and host allow (else the switch engine);
   ///   3. arrange   — simulate row vs column at reference_lanes (or honour a
   ///                  forced arrangement);
   ///   4. tile      — record the lane-tile resolution at reference_lanes.

@@ -43,6 +43,7 @@ void producer(BulkService& service, const std::vector<WorkloadItem>& workload,
               const LoadGenOptions& options, std::size_t jobs, std::uint64_t seed,
               ProducerOutcome& outcome) {
   Rng rng(seed);
+  const SubmitOptions submit_options{.deadline = options.deadline};
   const double rate =
       options.arrival_rate_hz > 0
           ? options.arrival_rate_hz / static_cast<double>(options.producers)
@@ -60,12 +61,12 @@ void producer(BulkService& service, const std::vector<WorkloadItem>& workload,
           std::chrono::duration<double>(exp_interval_seconds(rng, rate)));
       std::this_thread::sleep_until(next_arrival);
       futures.push_back(
-          service.submit(item.program_id, std::move(input), options.deadline));
+          service.submit(item.program_id, std::move(input), submit_options));
     } else {
       // Closed-loop: one outstanding job per producer.
       futures.clear();
       futures.push_back(
-          service.submit(item.program_id, std::move(input), options.deadline));
+          service.submit(item.program_id, std::move(input), submit_options));
       const JobResult r = futures.back().get();
       futures.clear();
       count_outcome(r, outcome);

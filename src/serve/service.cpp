@@ -6,7 +6,7 @@
 #include <mutex>
 
 #include "common/check.hpp"
-#include "bulk/streaming_executor.hpp"
+#include "plan/plan.hpp"
 
 namespace obx::serve {
 
@@ -154,10 +154,10 @@ BulkService::TrySubmit BulkService::admit(Job&& job, bool allow_block) {
 std::future<JobResult> BulkService::submit(const std::string& id,
                                            std::vector<Word> input,
                                            const SubmitOptions& options) {
-  const PreparedProgram& prepared = programs_->get(id);
-  OBX_CHECK(input.size() == prepared.input_words(),
+  const plan::ExecutionPlan& plan = programs_->get(id);
+  OBX_CHECK(input.size() == plan.input_words(),
             "input has " + std::to_string(input.size()) + " words, program '" + id +
-                "' expects " + std::to_string(prepared.input_words()));
+                "' expects " + std::to_string(plan.input_words()));
 
   Job job;
   job.id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
@@ -173,22 +173,14 @@ std::future<JobResult> BulkService::submit(const std::string& id,
   return future;
 }
 
-std::future<JobResult> BulkService::submit(const std::string& id,
-                                           std::vector<Word> input,
-                                           std::optional<Clock::duration> deadline) {
-  SubmitOptions options;
-  options.deadline = deadline;
-  return submit(id, std::move(input), options);
-}
-
 BulkService::TrySubmit BulkService::try_submit(const std::string& id,
                                                std::vector<Word> input,
                                                const SubmitOptions& options,
                                                std::function<void(JobResult&&)> done) {
-  const PreparedProgram& prepared = programs_->get(id);
-  OBX_CHECK(input.size() == prepared.input_words(),
+  const plan::ExecutionPlan& plan = programs_->get(id);
+  OBX_CHECK(input.size() == plan.input_words(),
             "input has " + std::to_string(input.size()) + " words, program '" + id +
-                "' expects " + std::to_string(prepared.input_words()));
+                "' expects " + std::to_string(plan.input_words()));
   OBX_CHECK(static_cast<bool>(done), "try_submit needs a completion callback");
 
   Job job;
@@ -267,30 +259,32 @@ void BulkService::executor_loop() {
 }
 
 void BulkService::execute(Batch&& batch) {
-  const PreparedProgram& prepared = programs_->get(batch.program_id);
+  const plan::ExecutionPlan& plan = programs_->get(batch.program_id);
   const std::size_t lanes = batch.jobs.size();
   const Clock::time_point dispatched = Clock::now();
 
   std::vector<std::vector<Word>> outputs(lanes);
   try {
     if (options_.before_execute) options_.before_execute(batch);
-    // Every engine decision (arrangement, backend, tile, workers) comes from
+    const std::size_t in_words = plan.input_words();
+    std::vector<Word> inputs(lanes * in_words, Word{0});
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const std::vector<Word>& in = batch.jobs[j].input;
+      // Last line of defence behind submit-time validation and the
+      // batcher's (program, input length) group key: a mis-sized lane
+      // must fail loudly, never overrun the input buffer.
+      OBX_CHECK(in.size() == in_words, "batched job input length does not match its program");
+      std::copy(in.begin(), in.end(), inputs.begin() + static_cast<std::ptrdiff_t>(j * in_words));
+    }
+    // Every engine decision (backend, tile, workers, SIMD tier) comes from
     // the plan built once at register_program() time.
-    const bulk::StreamingExecutor exec(prepared.plan(), lanes);
-    exec.run(
-        prepared.program(), lanes,
-        [&](Lane j, std::span<Word> dst) {
-          const std::vector<Word>& in = batch.jobs[j].input;
-          // Last line of defence behind submit-time validation and the
-          // batcher's (program, input length) group key: a mis-sized lane
-          // must fail loudly, never overrun the scatter buffer.
-          OBX_CHECK(in.size() == prepared.input_words(),
-                    "batched job input length does not match its program");
-          std::copy(in.begin(), in.end(), dst.begin());
-        },
-        [&](Lane j, std::span<const Word> out) {
-          outputs[j].assign(out.begin(), out.end());
-        });
+    std::vector<Word> flat;
+    plan::run(plan, inputs, lanes, &flat);
+    const std::size_t out_words = plan.output_words();
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const auto first = flat.begin() + static_cast<std::ptrdiff_t>(j * out_words);
+      outputs[j].assign(first, first + static_cast<std::ptrdiff_t>(out_words));
+    }
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
     metrics_.failed.fetch_add(batch.jobs.size(), std::memory_order_relaxed);
@@ -306,7 +300,7 @@ void BulkService::execute(Batch&& batch) {
   metrics_.batch_occupancy.record(lanes);
   metrics_.batch_latency_us.record(to_us(completed - dispatched));
   if (options_.record_simulated_units) {
-    metrics_.batch_sim_units.record(prepared.units_for_lanes(lanes));
+    metrics_.batch_sim_units.record(plan.units_for_lanes(lanes));
   }
 
   for (std::size_t j = 0; j < lanes; ++j) {

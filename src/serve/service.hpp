@@ -2,14 +2,14 @@
 //
 //   producers ──▶ quota gate ──▶ AdmissionQueue ──▶ Batcher ──▶ ExecutorPool ──▶ futures
 //                 (per-tenant     (bounded MPMC,      (group by    (N workers ×     / callbacks
-//                  token bucket)   per-priority        program,     StreamingExecutor)
+//                  token bucket)   per-priority        program,     plan::run)
 //                                  overflow policy)    flush on
 //                                                      size/delay/deadline)
 //
 // Many producer threads submit independent single-lane jobs; the service
-// coalesces them into large-occupancy bulk executions through the existing
-// engine.  Program characterisation (optimise + arrangement choice) is
-// cached per program id, so the advisor runs once, not per batch.
+// coalesces them into large-occupancy bulk executions.  Each program id is
+// planned once at registration (optimise, compile, arrangement choice); every
+// batch for it is one plan::run of that plan.
 //
 // Multi-tenancy happens at admission: each job carries a tenant id and a
 // priority class.  Tenants are charged against per-tenant token-bucket
@@ -65,8 +65,8 @@ struct ServiceOptions {
   /// workers_per_batch cannot oversubscribe the host — every batch's tiles
   /// drain through the same per-core workers.
   unsigned executors = 2;
-  /// Parallelism target inside one batch's StreamingExecutor, passed to the
-  /// shared CorePool per run.  0 (default) = one consumer per pool worker;
+  /// Parallelism target inside one batch's run, passed to the shared
+  /// CorePool per run.  0 (default) = one consumer per pool worker;
   /// 1 = run batches inline on their executor thread (the pre-pool
   /// behaviour).
   unsigned workers_per_batch = 0;
@@ -120,11 +120,7 @@ class BulkService {
   /// input_words.  Never blocks except under an effective kBlock policy on
   /// a full queue.
   std::future<JobResult> submit(const std::string& id, std::vector<Word> input,
-                                const SubmitOptions& options);
-
-  /// Single-tenant compatibility shim: tenant "default", Priority::kNormal.
-  std::future<JobResult> submit(const std::string& id, std::vector<Word> input,
-                                std::optional<Clock::duration> deadline = std::nullopt);
+                                const SubmitOptions& options = {});
 
   /// Callback-based, never-blocking submission for event-loop callers.
   /// `done` is invoked exactly once with the terminal JobResult — possibly

@@ -20,6 +20,7 @@
 #include "bulk/host_executor.hpp"
 #include "common/rng.hpp"
 #include "common/simd_isa.hpp"
+#include "engine_plan.hpp"
 #include "exec/backend.hpp"
 
 namespace {
@@ -418,12 +419,10 @@ TEST(CorePoolEquivalence, BitIdenticalAcrossWorkerCountsEverywhere) {
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
     for (const SimdIsa isa : tiers) {
-      const HostBulkExecutor serial(
-          p, HostBulkExecutor::Options{
-                 .workers = 1, .backend = exec::Backend::kAuto, .simd = isa});
-      const HostBulkExecutor pooled(
-          p, HostBulkExecutor::Options{
-                 .workers = 4, .backend = exec::Backend::kAuto, .simd = isa});
+      const HostBulkExecutor serial(*test::engine_plan(program, {.workers = 1, .simd = isa}),
+                                    p);
+      const HostBulkExecutor pooled(*test::engine_plan(program, {.workers = 4, .simd = isa}),
+                                    p);
       const HostRunResult a = serial.run(program, inputs);
       const HostRunResult b = pooled.run(program, inputs);
       ASSERT_EQ(a.backend, b.backend);

@@ -6,13 +6,15 @@
 #include <vector>
 
 #include "algos/algorithm.hpp"
-#include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
 #include "common/rng.hpp"
+#include "engine_plan.hpp"
 #include "exec/backend.hpp"
 #include "exec/compiled_program.hpp"
 #include "exec/jit/jit_program.hpp"
 #include "opt/fusion.hpp"
+#include "plan/plan.hpp"
+#include "serve/program_cache.hpp"
 #include "trace/interpreter.hpp"
 
 namespace {
@@ -54,18 +56,37 @@ std::vector<Word> iota_inputs(std::size_t p, std::size_t n) {
   return inputs;
 }
 
+/// Stream drains of one plan build that does not compile (profiling and the
+/// arrangement's simulation): the baseline the compile-cache tests count
+/// their compile drains against.
+int non_compile_drains(const trace::Program& program,
+                       const std::shared_ptr<std::atomic<int>>& invocations) {
+  const int before = invocations->load();
+  test::engine_plan(program, {.backend = exec::Backend::kInterpreted, .workers = 1});
+  return invocations->load() - before;
+}
+
 TEST(CompileCache, StreamDrainedAtMostOncePerProcess) {
   auto invocations = std::make_shared<std::atomic<int>>(0);
   const trace::Program program = counting_program(invocations);
   const std::size_t p = 96;
   const std::vector<Word> inputs = iota_inputs(p, kCountingWords);
+  const int build = non_compile_drains(program, invocations);
 
-  // Many runs, several executors, multiple workers (= multiple chunks), a
-  // copy of the program: the stream factory must still fire exactly once.
+  // Two plans (one per worker count) share one compile through the slot:
+  // the first build drains once more to compile, the second finds the
+  // artifact (and the JIT code) there.  After that, many runs, several
+  // executors, multiple workers (= multiple chunks) and a copy of the
+  // program never drain the stream again.
+  const auto inline_plan = test::engine_plan(program, {.tile_lanes = 16, .workers = 1});
+  EXPECT_EQ(invocations->load(), 2 * build + 1);
+  const auto pooled_plan = test::engine_plan(program, {.tile_lanes = 16, .workers = 4});
+  EXPECT_EQ(invocations->load(), 3 * build + 1);
+  ASSERT_NE(inline_plan->compiled(), nullptr);
+  EXPECT_EQ(inline_plan->compiled(), pooled_plan->compiled());
   const trace::Program copy = program;
-  for (unsigned workers : {1u, 4u}) {
-    const bulk::HostBulkExecutor exec(
-        p, bulk::HostBulkExecutor::Options{.workers = workers, .tile_lanes = 16});
+  for (const auto& plan : {inline_plan, pooled_plan}) {
+    const bulk::HostBulkExecutor exec(*plan, p);
     const auto run1 = exec.run(program, inputs);
     const auto run2 = exec.run(copy, inputs);
     // kAuto runs the JIT where emission is available and the compiled
@@ -74,7 +95,7 @@ TEST(CompileCache, StreamDrainedAtMostOncePerProcess) {
                                                   : exec::Backend::kCompiled);
     EXPECT_EQ(run1.memory, run2.memory);
   }
-  EXPECT_EQ(invocations->load(), 1);
+  EXPECT_EQ(invocations->load(), 3 * build + 1);
 }
 
 TEST(CompileCache, OverBudgetFallsBackAndRemembersFailure) {
@@ -82,20 +103,27 @@ TEST(CompileCache, OverBudgetFallsBackAndRemembersFailure) {
   const trace::Program program = counting_program(invocations);
   const std::size_t p = 8;
   const std::vector<Word> inputs = iota_inputs(p, kCountingWords);
+  const int build = non_compile_drains(program, invocations);
 
-  const bulk::HostBulkExecutor exec(
-      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kCompiled,
-                                         .compile_budget_steps = 4});
-  const auto run1 = exec.run(program, inputs);
-  EXPECT_EQ(run1.backend, exec::Backend::kInterpreted);  // automatic fallback
-  // One aborted compile drain + one interpreted chunk.
-  EXPECT_EQ(invocations->load(), 2);
+  const auto plan = test::engine_plan(
+      program, {.compile_budget_steps = 4, .backend = exec::Backend::kCompiled, .workers = 1});
+  EXPECT_EQ(plan->backend(), exec::Backend::kInterpreted);  // automatic fallback
+  // One aborted compile drain on top of the build's own drains.
+  const int drains = 2 * build + 1;
+  EXPECT_EQ(invocations->load(), drains);
 
-  const auto run2 = exec.run(program, inputs);
+  const auto run1 = plan::run(*plan, inputs, p);
+  EXPECT_EQ(run1.backend, exec::Backend::kInterpreted);
+  // A run drains only its one interpreted chunk: nothing retries the compile.
+  EXPECT_EQ(invocations->load(), drains + 1);
+  const auto run2 = plan::run(*plan, inputs, p);
   EXPECT_EQ(run2.backend, exec::Backend::kInterpreted);
-  // The failed budget is remembered: only the interpreted chunk drains.
-  EXPECT_EQ(invocations->load(), 3);
+  EXPECT_EQ(invocations->load(), drains + 2);
   EXPECT_EQ(run1.memory, run2.memory);
+
+  // The failed budget is remembered in the slot: asking again does not drain.
+  EXPECT_EQ(exec::CompiledProgram::get_or_compile(program, {.max_steps = 4}), nullptr);
+  EXPECT_EQ(invocations->load(), drains + 2);
 
   // Interpreted fallback is still correct.
   const trace::InterpreterResult ref = trace::interpret(
@@ -273,13 +301,14 @@ TEST(FusionTest, FusesAluStoreAndLoadAluStore) {
 }
 
 // serve::ProgramCache compiles at registration (the serving layer's
-// "compile each id exactly once") — verified through the shared slot.
-TEST(CompileCache, PreparedProgramCompilesEagerly) {
-  const trace::Program program = algos::find("prefix-sums").make_program(16);
-  // Compile via the slot the serving layer will use.
-  const auto first = exec::CompiledProgram::get_or_compile(program);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(exec::CompiledProgram::get_or_compile(program), first);
+// "compile each id exactly once"): the registered plan holds the artifact,
+// and it is the one memoised in the program's shared slot.
+TEST(CompileCache, RegisteredPlanCompilesEagerly) {
+  serve::ProgramCache cache(serve::PrepareOptions{.optimise = false});
+  cache.add("ps", algos::find("prefix-sums").make_program(16));
+  const plan::ExecutionPlan& plan = cache.get("ps");
+  ASSERT_NE(plan.compiled(), nullptr);
+  EXPECT_EQ(exec::CompiledProgram::get_or_compile(plan.program()), plan.compiled());
 }
 
 }  // namespace

@@ -18,14 +18,17 @@
 #include "bulk/host_executor.hpp"
 #include "common/rng.hpp"
 #include "common/simd_isa.hpp"
+#include "engine_plan.hpp"
 #include "exec/backend.hpp"
 #include "exec/jit/jit_program.hpp"
+#include "plan/plan.hpp"
 #include "trace/interpreter.hpp"
 
 namespace {
 
 using namespace obx;
 using namespace obx::bulk;
+using test::engine_plan;
 
 std::vector<Word> flat_inputs(const algos::Algorithm& algo, std::size_t n, std::size_t p,
                               Rng& rng) {
@@ -96,7 +99,8 @@ class ExecEquivalence : public ::testing::TestWithParam<Case> {
 // exercised on every engine.
 TEST_P(ExecEquivalence, ImagePathMatchesInterpreter) {
   for (const std::optional<SimdIsa>& tier : tiers()) {
-    const HostBulkExecutor exec(p_, {.workers = 2, .backend = engine_, .simd = tier});
+    const HostBulkExecutor exec(
+        *engine_plan(program_, {.backend = engine_, .workers = 2, .simd = tier}), p_);
     const HostRunResult run = exec.run(program_, inputs_);
     ASSERT_EQ(run.backend, expected_) << where(2, tier) << ": program failed to compile";
     if (tier) {
@@ -115,7 +119,8 @@ TEST_P(ExecEquivalence, ImagePathMatchesInterpreter) {
 TEST_P(ExecEquivalence, OutputPathMatchesInterpreter) {
   for (const unsigned workers : {1u, 4u}) {
     for (const std::optional<SimdIsa>& tier : tiers()) {
-      const HostBulkExecutor exec(p_, {.workers = workers, .backend = engine_, .simd = tier});
+      const HostBulkExecutor exec(
+          *engine_plan(program_, {.backend = engine_, .workers = workers, .simd = tier}), p_);
       std::vector<Word> got;
       const HostRunResult run = exec.run_outputs(program_, inputs_, got);
       ASSERT_EQ(run.backend, expected_) << where(workers, tier);
@@ -162,11 +167,11 @@ TEST(ExecEquivalenceTiles, TileSizeIsPureTuning) {
   const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
 
   const HostRunResult ref =
-      HostBulkExecutor(p, {.backend = exec::Backend::kInterpreted}).run(program, inputs);
+      plan::run(*engine_plan(program, {.backend = exec::Backend::kInterpreted, .workers = 1}), inputs, p);
   for (const std::size_t tile : {1u, 3u, 64u, 256u, 1024u}) {
-    const HostRunResult got =
-        HostBulkExecutor(p, {.backend = exec::Backend::kCompiled, .tile_lanes = tile})
-            .run(program, inputs);
+    const HostRunResult got = plan::run(
+        *engine_plan(program, {.backend = exec::Backend::kCompiled, .tile_lanes = tile, .workers = 1}),
+        inputs, p);
     ASSERT_EQ(got.backend, exec::Backend::kCompiled);
     ASSERT_EQ(ref.memory, got.memory) << "tile=" << tile;
   }
@@ -182,12 +187,12 @@ TEST(ExecEquivalenceRaggedTail, OddLaneCountsMatchScalarTier) {
   for (const std::size_t p : {1u, 3u, 7u, 9u, 63u, 65u}) {
     Rng rng(0xA7u + p);
     const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
-    const HostRunResult scalar =
-        HostBulkExecutor(p, {.backend = exec::Backend::kCompiled, .simd = SimdIsa::kScalar})
-            .run(program, inputs);
-    const HostRunResult best =
-        HostBulkExecutor(p, {.backend = exec::Backend::kCompiled, .simd = detect_simd_isa()})
-            .run(program, inputs);
+    const HostRunResult scalar = plan::run(
+        *engine_plan(program, {.backend = exec::Backend::kCompiled, .workers = 1, .simd = SimdIsa::kScalar}),
+        inputs, p);
+    const HostRunResult best = plan::run(
+        *engine_plan(program, {.backend = exec::Backend::kCompiled, .workers = 1, .simd = detect_simd_isa()}),
+        inputs, p);
     ASSERT_EQ(scalar.backend, exec::Backend::kCompiled);
     ASSERT_EQ(best.backend, exec::Backend::kCompiled);
     ASSERT_EQ(scalar.memory, best.memory)

@@ -13,14 +13,17 @@
 #include "bulk/host_executor.hpp"
 #include "check/differential.hpp"
 #include "common/rng.hpp"
+#include "engine_plan.hpp"
 #include "exec/backend.hpp"
 #include "exec/compiled_program.hpp"
 #include "exec/jit/jit_program.hpp"
+#include "plan/plan.hpp"
 #include "trace/interpreter.hpp"
 
 namespace {
 
 using namespace obx;
+using test::engine_plan;
 using trace::Op;
 using trace::Step;
 
@@ -59,10 +62,10 @@ TEST(JitTest, BitIdenticalAcrossRaggedLanesAndTiles) {
     const std::vector<Word> inputs = lane_major_inputs(algo, n, p, 7 * p + 1);
     const std::vector<Word> oracle = check::oracle_memory(program, inputs, p);
     for (const std::size_t tile : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-      const bulk::HostBulkExecutor exec(
-          p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit,
-                                             .tile_lanes = tile});
-      const auto run = exec.run(program, inputs);
+      const auto run = plan::run(
+          *engine_plan(program,
+                       {.backend = exec::Backend::kJit, .tile_lanes = tile, .workers = 1}),
+          inputs, p);
       ASSERT_EQ(run.backend, exec::Backend::kJit) << "p=" << p << " tile=" << tile;
       ASSERT_EQ(run.memory, oracle) << "p=" << p << " tile=" << tile;
     }
@@ -121,9 +124,8 @@ TEST(JitTest, EmptyProgramEmitsAndRuns) {
   std::vector<Word> inputs(p * 4);
   for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = i + 11;
 
-  const bulk::HostBulkExecutor exec(
-      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit});
-  const auto run = exec.run(program, inputs);
+  const auto run = plan::run(
+      *engine_plan(program, {.backend = exec::Backend::kJit, .workers = 1}), inputs, p);
   EXPECT_EQ(run.backend, exec::Backend::kJit);
   EXPECT_EQ(run.memory, inputs);
 }
@@ -142,16 +144,17 @@ TEST(JitTest, CompileBudgetStraddle) {
   const std::vector<Word> inputs = lane_major_inputs(algo, n, p, 9);
 
   program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
-  const bulk::HostBulkExecutor under(
-      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit,
-                                         .compile_budget_steps = steps - 1});
-  EXPECT_EQ(under.run(program, inputs).backend, exec::Backend::kInterpreted);
+  const auto under = engine_plan(program, {.compile_budget_steps = steps - 1,
+                                           .backend = exec::Backend::kJit,
+                                           .workers = 1});
+  EXPECT_EQ(under->backend(), exec::Backend::kInterpreted);
+  EXPECT_EQ(plan::run(*under, inputs, p).backend, exec::Backend::kInterpreted);
 
   program.exec_cache = std::make_shared<trace::ExecCacheSlot>();
-  const bulk::HostBulkExecutor exact(
-      p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit,
-                                         .compile_budget_steps = steps});
-  EXPECT_EQ(exact.run(program, inputs).backend, exec::Backend::kJit);
+  const auto exact = engine_plan(
+      program, {.compile_budget_steps = steps, .backend = exec::Backend::kJit, .workers = 1});
+  EXPECT_EQ(exact->backend(), exec::Backend::kJit);
+  EXPECT_EQ(plan::run(*exact, inputs, p).backend, exec::Backend::kJit);
 }
 
 // Emission is memoised per (program, ISA) through the shared exec-cache
@@ -208,9 +211,8 @@ TEST(JitTest, FullOpcodeSurfaceMatchesOracle) {
     Rng rng(p);
     for (Word& w : inputs) w = rng.next_u64();
     const std::vector<Word> oracle = check::oracle_memory(program, inputs, p);
-    const bulk::HostBulkExecutor exec(
-        p, bulk::HostBulkExecutor::Options{.backend = exec::Backend::kJit});
-    const auto run = exec.run(program, inputs);
+    const auto run = plan::run(
+        *engine_plan(program, {.backend = exec::Backend::kJit, .workers = 1}), inputs, p);
     ASSERT_EQ(run.backend, exec::Backend::kJit);
     ASSERT_EQ(run.memory, oracle) << "p=" << p;
   }

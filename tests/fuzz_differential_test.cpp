@@ -16,6 +16,7 @@
 #include "bulk/timing_estimator.hpp"
 #include "bulk/umm_executor.hpp"
 #include "common/rng.hpp"
+#include "engine_plan.hpp"
 #include "opt/optimizer.hpp"
 #include "trace/interpreter.hpp"
 #include "trace/program.hpp"
@@ -94,7 +95,8 @@ TEST_P(DifferentialFuzz, AllEnginesAgree) {
   const bulk::Layout layout = bulk::make_layout(program, p, arrangement);
 
   // 1. Host executor vs scalar interpreter, per lane.
-  const bulk::HostBulkExecutor host(p);
+  const auto plan = test::engine_plan(program);
+  const bulk::HostBulkExecutor host(*plan, p);
   const bulk::HostRunResult host_run = host.run(program, inputs);
   const std::vector<Word> host_out = host.gather_outputs(program, host_run.memory);
   for (std::size_t j = 0; j < p; ++j) {

@@ -9,17 +9,19 @@
 #include <vector>
 
 #include "algos/algorithm.hpp"
-#include "bulk/bulk.hpp"
 #include "bulk/core_pool.hpp"
 #include "bulk/host_executor.hpp"
 #include "common/rng.hpp"
+#include "engine_plan.hpp"
 #include "exec/backend.hpp"
+#include "plan/plan.hpp"
 #include "trace/interpreter.hpp"
 
 namespace {
 
 using namespace obx;
 using namespace obx::bulk;
+using test::engine_plan;
 
 std::vector<Word> flat_inputs(const algos::Algorithm& algo, std::size_t n, std::size_t p,
                               Rng& rng) {
@@ -49,7 +51,7 @@ TEST_P(HostExecutorEquivalence, MatchesInterpreterPerLane) {
   Rng rng(1234);
   const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
 
-  const HostBulkExecutor exec(p, HostBulkExecutor::Options{.backend = backend});
+  const HostBulkExecutor exec(*engine_plan(program, {.backend = backend, .workers = 1}), p);
   const HostRunResult run = exec.run(program, inputs);
   const std::vector<Word> outputs = exec.gather_outputs(program, run.memory);
 
@@ -109,7 +111,7 @@ TEST(HostExecutor, RunReturnsLaneMajorInterpreterMemory) {
       for (const unsigned workers : {1u, 4u}) {
         for (const exec::Backend backend : kEngines) {
           const HostBulkExecutor exec(
-              p, HostBulkExecutor::Options{.workers = workers, .backend = backend});
+              *engine_plan(program, {.backend = backend, .workers = workers}), p);
           const HostRunResult run = exec.run(program, inputs);
           ASSERT_EQ(run.memory.size(), p * program.memory_words);
           EXPECT_EQ(run.memory, oracle) << program.name << " p=" << p << " workers="
@@ -131,7 +133,7 @@ TEST(HostExecutor, AutoWorkersGatherUsesThePool) {
   if (default_worker_count() == 1) GTEST_SKIP() << "one CPU: auto is inline";
   const trace::Program program = algos::find("prefix-sums").make_program(8);
   const std::size_t p = 4096;
-  const HostBulkExecutor exec(p, HostBulkExecutor::Options{.workers = 0});
+  const HostBulkExecutor exec(*engine_plan(program, {.workers = 0}), p);
   const std::vector<Word> memory(p * program.memory_words, Word{1});
   const std::uint64_t before = CorePool::instance().counters().tasks;
   const std::vector<Word> out = exec.gather_outputs(program, memory);
@@ -147,8 +149,8 @@ TEST(HostExecutor, AutoWorkersMatchInlineRunAndGather) {
   Rng rng(9);
   const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
 
-  const HostBulkExecutor autos(p, HostBulkExecutor::Options{.workers = 0});
-  const HostBulkExecutor inline_exec(p, HostBulkExecutor::Options{.workers = 1});
+  const HostBulkExecutor autos(*engine_plan(program, {.workers = 0}), p);
+  const HostBulkExecutor inline_exec(*engine_plan(program, {.workers = 1}), p);
   const auto a = autos.run(program, inputs);
   const auto b = inline_exec.run(program, inputs);
   ASSERT_EQ(a.memory, b.memory);
@@ -157,9 +159,32 @@ TEST(HostExecutor, AutoWorkersMatchInlineRunAndGather) {
 
 TEST(HostExecutor, RejectsMismatchedSizes) {
   const trace::Program program = algos::find("prefix-sums").make_program(8);
-  const HostBulkExecutor exec(4);
+  const HostBulkExecutor exec(*engine_plan(program), 4);
   EXPECT_THROW(exec.run(program, std::vector<Word>(31)), std::logic_error);
   EXPECT_THROW(exec.gather_outputs(program, std::vector<Word>(31)), std::logic_error);
+}
+
+// The executor runs the artifacts its plan built from plan.program(), so it
+// refuses any program that does not share that program's exec_cache slot —
+// even an identical one — on every engine and on both paths.  A copy of the
+// plan's program shares the slot and runs.
+TEST(HostExecutor, RejectsAProgramOutsideItsPlan) {
+  const algos::Algorithm& algo = algos::find("prefix-sums");
+  const std::size_t p = 4;
+  Rng rng(5);
+  const std::vector<Word> inputs = flat_inputs(algo, 8, p, rng);
+  for (const exec::Backend backend : kEngines) {
+    const auto plan = engine_plan(algo.make_program(8), {.backend = backend, .workers = 1});
+    const HostBulkExecutor exec(*plan, p);
+    const trace::Program other = algo.make_program(8);
+    std::vector<Word> outputs;
+    EXPECT_THROW(exec.run(other, inputs), std::logic_error) << exec::to_string(backend);
+    EXPECT_THROW(exec.run_outputs(other, inputs, outputs), std::logic_error)
+        << exec::to_string(backend);
+    const trace::Program copy = plan->program();
+    EXPECT_EQ(exec.run(copy, inputs).memory, exec.run(plan->program(), inputs).memory)
+        << exec::to_string(backend);
+  }
 }
 
 TEST(HostExecutor, ReportsPerInputStepCounts) {
@@ -169,7 +194,7 @@ TEST(HostExecutor, ReportsPerInputStepCounts) {
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const std::vector<Word> inputs = flat_inputs(algo, 10, p, rng);
   for (const exec::Backend backend : kEngines) {
-    const HostBulkExecutor exec(p, HostBulkExecutor::Options{.backend = backend});
+    const HostBulkExecutor exec(*engine_plan(program, {.backend = backend, .workers = 1}), p);
     const HostRunResult run = exec.run(program, inputs);
     EXPECT_EQ(run.counts.memory(), 20u) << exec::to_string(backend);
     EXPECT_GE(run.seconds, 0.0);
@@ -184,8 +209,8 @@ TEST(RunBulk, ConvenienceApiMatchesInterpreter) {
   Rng rng(10);
   const std::vector<Word> inputs = flat_inputs(algo, n, p, rng);
 
-  const BulkOutputs inline_out = run_bulk(program, inputs, p);
-  const BulkOutputs pooled = run_bulk(program, inputs, p, 4);
+  const plan::BulkOutputs inline_out = plan::run_bulk(program, inputs, p);
+  const plan::BulkOutputs pooled = plan::run_bulk(program, inputs, p, 4);
   ASSERT_EQ(inline_out.count(), p);
   EXPECT_EQ(inline_out.flat, pooled.flat);
   for (std::size_t j = 0; j < p; ++j) {

@@ -10,11 +10,11 @@
 #include <vector>
 
 #include "algos/algorithm.hpp"
-#include "bulk/bulk.hpp"
 #include "common/rng.hpp"
 #include "net/client.hpp"
 #include "net/load_gen.hpp"
 #include "net/server.hpp"
+#include "plan/plan.hpp"
 #include "serve/service.hpp"
 
 namespace {
@@ -79,7 +79,7 @@ TEST(NetLoopback, MultiTenantMixedPrioritiesBitIdentical) {
             client.submit(p.id, input, "tenant-" + std::to_string(t),
                           kPriorities[t]);
         ASSERT_TRUE(r.ok()) << r.transport_error << " " << r.error;
-        const bulk::BulkOutputs direct = bulk::run_bulk(p.program, input, 1);
+        const plan::BulkOutputs direct = plan::run_bulk(p.program, input, 1);
         if (r.output != direct.flat) {
           ++mismatches[t];
         } else {
@@ -138,7 +138,7 @@ TEST(NetLoopback, PipelinedOutOfOrderResponses) {
   for (std::size_t i = 0; i < 24; ++i) {
     const LoopbackProgram& p = programs[i % programs.size()];
     std::vector<Word> input = p.algo->make_input(p.n, rng);
-    const bulk::BulkOutputs direct = bulk::run_bulk(p.program, input, 1);
+    const plan::BulkOutputs direct = plan::run_bulk(p.program, input, 1);
     const auto id = client.submit_async(p.id, std::move(input));
     ASSERT_TRUE(id.has_value());
     window.push_back(Pending{*id, direct.flat});
@@ -270,7 +270,7 @@ TEST(NetLoopback, ObliviousFamilyVariableLengthSessions) {
       for (std::size_t i = 0; i < kJobsPerClient; ++i) {
         const Session& s = sessions[rng.next_below(sessions.size())];
         std::vector<Word> input = s.algo->make_input(s.n, rng);
-        const bulk::BulkOutputs direct = bulk::run_bulk(s.program, input, 1);
+        const plan::BulkOutputs direct = plan::run_bulk(s.program, input, 1);
         const net::Client::Result r =
             client.submit(s.id, input, "tenant-" + std::to_string(c));
         ASSERT_TRUE(r.ok()) << s.id << ": " << r.transport_error << " "
@@ -415,8 +415,8 @@ TEST(NetLoopback, ParkedSubmitterDisconnectDoesNotLeakConnectionSlot) {
   net::Client fresh(server.host(), server.port());
   ASSERT_TRUE(fresh.connected()) << fresh.error();
   std::vector<Word> input = algo.make_input(kN, rng);
-  const bulk::BulkOutputs direct =
-      bulk::run_bulk(algo.make_program(kN), input, 1);
+  const plan::BulkOutputs direct =
+      plan::run_bulk(algo.make_program(kN), input, 1);
   const net::Client::Result r = fresh.submit("slow", input);
   ASSERT_TRUE(r.ok()) << r.transport_error << " " << r.error;
   EXPECT_EQ(r.output, direct.flat);

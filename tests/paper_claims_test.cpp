@@ -8,6 +8,7 @@
 #include "bulk/bulk.hpp"
 #include "bulk/timing_estimator.hpp"
 #include "common/rng.hpp"
+#include "plan/plan.hpp"
 #include "trace/oblivious_checker.hpp"
 #include "umm/cost_model.hpp"
 
@@ -138,7 +139,7 @@ TEST(PaperClaims, BulkEqualsSequential) {
       const auto one = algos::prefix_sums_random_input(48, rng);
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
-    const auto out = bulk::run_bulk(program, inputs, p);
+    const auto out = plan::run_bulk(program, inputs, p);
     for (std::size_t j = 0; j < p; ++j) {
       const auto expected = algos::prefix_sums_reference(
           48, std::span<const Word>(inputs).subspan(j * 48, 48));
@@ -155,7 +156,7 @@ TEST(PaperClaims, BulkEqualsSequential) {
       const auto one = algos::opt_random_input(n, rng);
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
-    const auto out = bulk::run_bulk(program, inputs, p);
+    const auto out = plan::run_bulk(program, inputs, p);
     for (std::size_t j = 0; j < p; ++j) {
       const auto expected = algos::opt_reference(
           n, std::span<const Word>(inputs).subspan(j * n * n, n * n));

@@ -1,6 +1,7 @@
 // plan::ExecutionPlan / Planner / PlanCache tests: fingerprint determinism,
-// provenance, cache sharing of the compiled artifact, thread-safety, and
-// bit-identical equivalence of plan-driven and direct execution.
+// provenance, cache sharing of the compiled artifact, thread-safety, the
+// SIMD pin, and bit-identical equivalence of optimised plans with the
+// one-off plans of run_bulk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,8 +14,8 @@
 #include "bulk/bulk.hpp"
 #include "bulk/host_executor.hpp"
 #include "bulk/layout.hpp"
-#include "bulk/streaming_executor.hpp"
 #include "common/rng.hpp"
+#include "common/simd_isa.hpp"
 #include "exec/backend.hpp"
 #include "exec/jit/jit_program.hpp"
 #include "plan/plan_cache.hpp"
@@ -108,7 +109,7 @@ TEST(PlanOptionsTest, FingerprintIsDeterministicAndKnobSensitive) {
   o.optimise = false;
   EXPECT_NE(o.fingerprint(), base.fingerprint());
   o = base;
-  o.compile = false;
+  o.backend = exec::Backend::kCompiled;
   EXPECT_NE(o.fingerprint(), base.fingerprint());
   o = base;
   o.tile_lanes = 32;
@@ -123,6 +124,9 @@ TEST(PlanOptionsTest, FingerprintIsDeterministicAndKnobSensitive) {
   const auto col = o.fingerprint();
   o.arrangement = bulk::Arrangement::kRowWise;
   EXPECT_NE(o.fingerprint(), col);
+  o = base;
+  o.simd = SimdIsa::kScalar;
+  EXPECT_NE(o.fingerprint(), base.fingerprint());
 }
 
 TEST(PlannerTest, SameInputsProduceIdenticalPlans) {
@@ -344,10 +348,8 @@ TEST(PlanEquivalenceTest, PlanDrivenRunMatchesDirectExecutorAcrossRegistry) {
     const std::size_t n = algo.test_sizes.front();
     const trace::Program program = algo.make_program(n);
     const std::vector<Word> inputs = lane_inputs(algo, n, p, /*seed=*/7);
-    // Direct: the pre-plan executor surface on the unoptimised program.
-    const bulk::HostBulkExecutor direct(p);
-    const auto direct_run = direct.run(program, inputs);
-    const std::vector<Word> expected = direct.gather_outputs(program, direct_run.memory);
+    // Direct: run_bulk's one-off plan of the unoptimised program.
+    const std::vector<Word> expected = plan::run_bulk(program, inputs, p).flat;
     for (const auto arr :
          {bulk::Arrangement::kRowWise, bulk::Arrangement::kColumnWise}) {
       // Plan-driven: whatever arrangement the simulated machine is planned
@@ -404,22 +406,45 @@ TEST(PlanEquivalenceTest, PlanConstructedExecutorsMatchPlanRun) {
   EXPECT_EQ(host.lanes(), p);
   const auto run = host.run(plan->program(), inputs);
   EXPECT_EQ(run.backend, plan->backend());
+  EXPECT_EQ(run.simd, plan->provenance().simd);
   EXPECT_EQ(host.gather_outputs(plan->program(), run.memory), expected);
+}
 
-  const bulk::StreamingExecutor streaming(*plan, /*max_resident_lanes=*/4);
-  EXPECT_EQ(streaming.options().max_resident_lanes, 4u);
-  std::vector<Word> streamed(expected.size(), Word{0});
-  streaming.run(
-      plan->program(), p,
-      [&](Lane j, std::span<Word> dst) {
-        const std::size_t w = plan->input_words();
-        std::copy_n(inputs.begin() + static_cast<std::ptrdiff_t>(j * w), w, dst.begin());
-      },
-      [&](Lane j, std::span<const Word> out) {
-        std::copy(out.begin(), out.end(),
-                  streamed.begin() + static_cast<std::ptrdiff_t>(j * plan->output_words()));
-      });
-  EXPECT_EQ(streamed, expected);
+// PlanOptions::simd pins the tier end to end: the plan records it, the JIT
+// is emitted for it, and executors built from the plan run at it — scalar
+// and the widest tier this CPU supports, in one process.
+TEST(PlanEquivalenceTest, SimdPinReachesProvenanceExecutorAndJit) {
+  const algos::Algorithm& algo = algos::find("tea");
+  const std::size_t n = algo.test_sizes.front();
+  const std::size_t p = 37;
+  const trace::Program program = algo.make_program(n);
+  const std::vector<Word> inputs = lane_inputs(algo, n, p, /*seed=*/41);
+  std::vector<Word> first;
+  for (const SimdIsa tier : {SimdIsa::kScalar, detect_simd_isa()}) {
+    plan::PlanOptions options;
+    options.simd = tier;
+    const auto plan = plan::build_plan(program, options);
+    EXPECT_EQ(plan->provenance().simd, tier);
+    EXPECT_EQ(plan->provenance().simd_width, simd_width_words(tier));
+    ASSERT_NE(plan->compiled(), nullptr);
+    EXPECT_EQ(plan->jitted() != nullptr, exec::jit_available());
+    if (plan->jitted() != nullptr) {
+      EXPECT_EQ(plan->jitted()->isa(), tier);
+    }
+
+    std::vector<Word> out;
+    const bulk::HostRunResult run = plan::run(*plan, inputs, p, &out);
+    EXPECT_EQ(run.simd, tier);
+    EXPECT_EQ(run.backend, plan->backend());
+    if (first.empty()) first = out;
+    EXPECT_EQ(out, first) << to_string(tier);
+  }
+  plan::PlanOptions unsupported;
+  for (const SimdIsa tier : {SimdIsa::kSse2, SimdIsa::kNeon, SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+    if (simd_isa_supported(tier)) continue;
+    unsupported.simd = tier;
+    EXPECT_THROW(plan::Planner{unsupported}, std::logic_error) << to_string(tier);
+  }
 }
 
 // plan::run with `outputs` takes the output path: every engine copies each
@@ -479,13 +504,11 @@ TEST(PrepareOptionsTest, MapsOntoPlanOptions) {
   po.machine.width = 64;
   po.reference_lanes = 1024;
   po.optimise_step_limit = 99;
-  po.compile = false;
   po.workers = 3;
   const plan::PlanOptions mapped = po.plan_options();
   EXPECT_EQ(mapped.machine.width, 64u);
   EXPECT_EQ(mapped.reference_lanes, 1024u);
   EXPECT_EQ(mapped.optimise_step_limit, 99u);
-  EXPECT_FALSE(mapped.compile);
   EXPECT_EQ(mapped.workers, 3u);
 }
 

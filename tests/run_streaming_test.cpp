@@ -1,4 +1,4 @@
-// Memory-bounded streaming bulk execution.
+// Memory-bounded streaming bulk execution (plan::run_streaming).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -6,14 +6,14 @@
 #include <vector>
 
 #include "algos/algorithm.hpp"
-#include "bulk/bulk.hpp"
-#include "bulk/streaming_executor.hpp"
 #include "common/rng.hpp"
+#include "engine_plan.hpp"
+#include "plan/plan.hpp"
 
 namespace {
 
 using namespace obx;
-using namespace obx::bulk;
+using test::engine_plan;
 
 struct Fixture {
   trace::Program program;
@@ -29,7 +29,7 @@ struct Fixture {
       const auto one = algo.make_input(n, rng);
       inputs.insert(inputs.end(), one.begin(), one.end());
     }
-    expected = run_bulk(program, inputs, p).flat;
+    expected = plan::run_bulk(program, inputs, p).flat;
   }
 
   void fill(Lane j, std::span<Word> dst) const {
@@ -40,12 +40,12 @@ struct Fixture {
 
 TEST(Streaming, MatchesMonolithicRunAcrossBatchSizes) {
   const Fixture fx("prefix-sums", 16, 37);  // deliberately awkward p
+  const auto plan = engine_plan(fx.program);
   for (const std::size_t batch : {1u, 2u, 7u, 16u, 37u, 100u}) {
-    StreamingExecutor exec(StreamingExecutor::Options{.max_resident_lanes = batch});
     std::vector<Word> got(fx.expected.size(), Word{0});
     std::vector<bool> seen(fx.p, false);
-    const auto stats = exec.run(
-        fx.program, fx.p, [&](Lane j, std::span<Word> dst) { fx.fill(j, dst); },
+    const auto stats = plan::run_streaming(
+        *plan, fx.p, batch, [&](Lane j, std::span<Word> dst) { fx.fill(j, dst); },
         [&](Lane j, std::span<const Word> out) {
           seen[j] = true;
           std::copy(out.begin(), out.end(),
@@ -60,11 +60,11 @@ TEST(Streaming, MatchesMonolithicRunAcrossBatchSizes) {
 
 TEST(Streaming, InterpretedEngineAgrees) {
   const Fixture fx("bitonic-sort", 32, 11);
-  StreamingExecutor exec(StreamingExecutor::Options{
-      .max_resident_lanes = 4, .workers = 2, .backend = exec::Backend::kInterpreted});
+  const auto plan =
+      engine_plan(fx.program, {.backend = exec::Backend::kInterpreted, .workers = 2});
   std::vector<Word> got(fx.expected.size(), Word{0});
-  exec.run(
-      fx.program, fx.p, [&](Lane j, std::span<Word> dst) { fx.fill(j, dst); },
+  plan::run_streaming(
+      *plan, fx.p, 4, [&](Lane j, std::span<Word> dst) { fx.fill(j, dst); },
       [&](Lane j, std::span<const Word> out) {
         std::copy(out.begin(), out.end(),
                   got.begin() + static_cast<std::ptrdiff_t>(j * fx.program.output_words));
@@ -74,10 +74,9 @@ TEST(Streaming, InterpretedEngineAgrees) {
 
 TEST(Streaming, LanesVisitedInOrder) {
   const Fixture fx("horner", 8, 9);
-  StreamingExecutor exec(StreamingExecutor::Options{.max_resident_lanes = 4});
   Lane next_fill = 0, next_consume = 0;
-  exec.run(
-      fx.program, fx.p,
+  plan::run_streaming(
+      *engine_plan(fx.program), fx.p, 4,
       [&](Lane j, std::span<Word> dst) {
         EXPECT_EQ(j, next_fill++);
         fx.fill(j, dst);
@@ -89,9 +88,8 @@ TEST(Streaming, LanesVisitedInOrder) {
 
 TEST(Streaming, AttributesCallbackTimeSeparatelyFromExecution) {
   const Fixture fx("prefix-sums", 16, 8);
-  StreamingExecutor exec(StreamingExecutor::Options{.max_resident_lanes = 4});
-  const auto stats = exec.run(
-      fx.program, fx.p,
+  const auto stats = plan::run_streaming(
+      *engine_plan(fx.program), fx.p, 4,
       [&](Lane j, std::span<Word> dst) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         fx.fill(j, dst);
@@ -106,12 +104,13 @@ TEST(Streaming, AttributesCallbackTimeSeparatelyFromExecution) {
 }
 
 TEST(Streaming, Validation) {
-  EXPECT_THROW(StreamingExecutor(StreamingExecutor::Options{.max_resident_lanes = 0}),
-               std::logic_error);
   const Fixture fx("horner", 4, 2);
-  StreamingExecutor exec;
-  EXPECT_THROW(exec.run(fx.program, 2, nullptr, [](Lane, std::span<const Word>) {}),
-               std::logic_error);
+  const auto plan = engine_plan(fx.program);
+  const auto fill = [&](Lane j, std::span<Word> dst) { fx.fill(j, dst); };
+  const auto consume = [](Lane, std::span<const Word>) {};
+  EXPECT_THROW(plan::run_streaming(*plan, 2, 0, fill, consume), std::logic_error);
+  EXPECT_THROW(plan::run_streaming(*plan, 2, 4, nullptr, consume), std::logic_error);
+  EXPECT_THROW(plan::run_streaming(*plan, 2, 4, fill, nullptr), std::logic_error);
 }
 
 }  // namespace

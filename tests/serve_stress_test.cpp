@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "algos/algorithm.hpp"
-#include "bulk/bulk.hpp"
 #include "common/rng.hpp"
+#include "plan/plan.hpp"
 #include "serve/service.hpp"
 
 namespace {
@@ -93,7 +93,7 @@ void run_stress(OverflowPolicy policy, std::size_t queue_capacity,
         case JobStatus::kCompleted: {
           ++completed;
           const StressProgram& p = programs[s.program_index];
-          const bulk::BulkOutputs direct = bulk::run_bulk(p.program, s.input, 1);
+          const plan::BulkOutputs direct = plan::run_bulk(p.program, s.input, 1);
           ASSERT_EQ(r.output, direct.flat)
               << "program " << p.id << " output diverged from direct execution";
           break;

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "algos/algorithm.hpp"
-#include "bulk/bulk.hpp"
 #include "common/rng.hpp"
+#include "plan/plan.hpp"
 #include "serve/admission_queue.hpp"
 #include "serve/batcher.hpp"
 #include "serve/load_gen.hpp"
@@ -394,7 +394,7 @@ TEST(BulkService, ExecutesJobsBitIdenticalToDirectBulkRun) {
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const JobResult r = futures[i].get();
     ASSERT_EQ(r.status, JobStatus::kCompleted);
-    const bulk::BulkOutputs direct = bulk::run_bulk(program, inputs[i], 1);
+    const plan::BulkOutputs direct = plan::run_bulk(program, inputs[i], 1);
     EXPECT_EQ(r.output, direct.flat) << "job " << i;
     EXPECT_GE(r.batch_lanes, 1u);
     EXPECT_GE(r.latency.count(), 0);
@@ -416,7 +416,7 @@ TEST(BulkService, ExpiredDeadlineIsDeliveredButFlagged) {
   service.register_program("h", algo.make_program(8));
   Rng rng(3);
   // A deadline of -1ms is already missed at submit; the job still executes.
-  auto future = service.submit("h", algo.make_input(8, rng), -1ms);
+  auto future = service.submit("h", algo.make_input(8, rng), {.deadline = -1ms});
   const JobResult r = future.get();
   EXPECT_EQ(r.status, JobStatus::kCompleted);
   EXPECT_TRUE(r.deadline_missed);

@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "algos/prefix_sums.hpp"
-#include "bulk/bulk.hpp"
 #include "common/rng.hpp"
+#include "plan/plan.hpp"
 #include "trace/interpreter.hpp"
 #include "umm/cost_model.hpp"
 
@@ -23,7 +23,7 @@ TEST(Smoke, EndToEndPrefixSums) {
     inputs.insert(inputs.end(), one.begin(), one.end());
   }
 
-  const bulk::BulkOutputs outputs = bulk::run_bulk(program, inputs, p);
+  const plan::BulkOutputs outputs = plan::run_bulk(program, inputs, p);
   ASSERT_EQ(outputs.count(), p);
 
   for (std::size_t j = 0; j < p; ++j) {

@@ -11,6 +11,8 @@
 #include "bulk/timing_estimator.hpp"
 #include "bulk/umm_executor.hpp"
 #include "common/rng.hpp"
+#include "engine_plan.hpp"
+#include "plan/plan.hpp"
 
 namespace {
 
@@ -52,8 +54,7 @@ TEST_P(SimulatorAgreement, FunctionalMatchesHostAndTimeMatchesEstimator) {
   const UmmBulkExecutor sim(c.model, cfg, layout);
   const UmmRunResult sim_run = sim.run(program, inputs);
 
-  const HostBulkExecutor host(c.p);
-  const HostRunResult host_run = host.run(program, inputs);
+  const HostRunResult host_run = plan::run(*test::engine_plan(program), inputs, c.p);
   // The same words: arranged on the simulated machine, lane-major on the host.
   const std::size_t n = program.memory_words;
   ASSERT_EQ(sim_run.memory.size(), layout.total_words());
