@@ -34,7 +34,7 @@ void report(analysis::Table& table, const char* name, const trace::Program& prog
                  format_fixed(static_cast<double>(row.time_units) /
                                   static_cast<double>(col.time_units),
                               2),
-                 std::to_string(col.compute_steps)});
+                 std::to_string(col.stats.compute_steps)});
 }
 
 }  // namespace

@@ -326,10 +326,11 @@ BENCHMARK(BM_ArrangementSweep)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
 
 void BM_StridedStepCost(benchmark::State& state) {
   const umm::MachineConfig cfg{.width = 32, .latency = 100};
-  const umm::StridedStepCost cost(umm::Model::kUmm, cfg, 1 << 20, 1);
+  const umm::StridedStepCost cost(umm::WarpRule::global(umm::Model::kUmm, cfg), cfg.width,
+                                  1 << 20, 1);
   Addr base = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cost.step_time(base));
+    benchmark::DoNotOptimize(cost.stages(base));
     base = (base + 7) & 1023;
   }
 }

@@ -91,7 +91,7 @@ int main() {
               "charged; %llu register steps per message)\n",
               static_cast<unsigned long long>(free_compute.time_units),
               static_cast<unsigned long long>(paid_compute.time_units),
-              static_cast<unsigned long long>(paid_compute.compute_steps));
+              static_cast<unsigned long long>(paid_compute.stats.compute_steps));
   std::printf("ok\n");
   return 0;
 }

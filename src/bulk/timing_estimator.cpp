@@ -1,6 +1,5 @@
 #include "bulk/timing_estimator.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/check.hpp"
@@ -10,25 +9,18 @@
 namespace obx::bulk {
 
 TimingEstimator::TimingEstimator(umm::Model model, umm::MachineConfig config, Layout layout)
-    : config_(config),
+    : model_(model),
+      config_(config),
       layout_(layout),
-      step_cost_(model, config, layout.lanes(), layout.lane_stride()) {
-  config_.validate();
-  OBX_CHECK(layout_.uniform_residue(config_.width),
-            "layout does not have uniform warp residues at this width "
-            "(blocked layouts need width | block)");
-  OBX_CHECK(layout_.arrangement() != Arrangement::kBlocked ||
-                config_.effective_group() == config_.width,
-            "the strided fast path supports blocked layouts only at the "
-            "paper's group size (group_words == width); use UmmBulkExecutor");
+      global_cost_(umm::WarpRule::global(model, config), config.width, layout.lanes(),
+                   layout.lane_stride()) {
+  OBX_CHECK(supports(config_, layout_),
+            "the strided fast path does not support " + layout_.name() +
+                " on this machine (blocked layouts need width | block, the "
+                "paper's group size and no shared tier); use UmmBulkExecutor");
   if (config_.shared.enabled()) {
-    // Blocked layouts are not one arithmetic progression: block-to-block
-    // jumps break the residue cycle modulo the bank-row modulus.
-    OBX_CHECK(layout_.arrangement() != Arrangement::kBlocked,
-              "the shared-tier fast path does not support blocked layouts; "
-              "use UmmBulkExecutor");
-    shared_cost_.emplace(config_.shared, config_.width, layout_.lanes(),
-                         layout_.lane_stride());
+    shared_cost_.emplace(umm::WarpRule::shared(config_.shared), config_.width,
+                         layout_.lanes(), layout_.lane_stride());
   }
 }
 
@@ -41,53 +33,22 @@ bool TimingEstimator::supports(const umm::MachineConfig& config, const Layout& l
   return true;
 }
 
-TimeUnits TimingEstimator::step_time(Addr canonical) const {
-  const Addr base = layout_.stride_base(canonical);
-  TimeUnits t = step_cost_.step_time(base);
-  if (t > 0 && shared_cost_.has_value()) t += shared_cost_->step_time(base);
-  return t;
-}
-
 TimingResult TimingEstimator::run(const trace::Program& program) const {
   OBX_CHECK(program.stream != nullptr, "program has no stream factory");
-  TimingResult r;
-  TimeUnits serialized = 0;
-  TimeUnits compute_units = 0;
-  TimeUnits shared_units = 0;
+  umm::AccessTimer timer(model_, config_);
   auto gen = program.stream();
   for (const trace::Step& s : gen) {
     if (s.is_memory()) {
       OBX_CHECK(s.addr < program.memory_words, "access beyond program memory");
       const Addr base = layout_.stride_base(s.addr);
-      const umm::StepStages st = step_cost_.stages(base);
-      r.stages_total += st.stages;
-      r.warps_dispatched += st.warps;
-      serialized += st.stages + config_.latency - 1;
-      if (shared_cost_.has_value()) {
-        const umm::SharedStepRounds sr = shared_cost_->rounds(base);
-        r.shared_rounds_total += sr.rounds;
-        if (sr.rounds > 0) {
-          shared_units += sr.rounds + config_.shared.latency - 1;
-        }
-      }
-      ++r.access_steps;
+      const umm::StepStages st = global_cost_.stages(base);
+      timer.charge_precomputed(st.stages, st.warps,
+                               shared_cost_.has_value() ? shared_cost_->stages(base).stages : 0);
     } else {
-      ++r.compute_steps;
-      if (config_.count_compute) ++compute_units;
+      timer.charge_compute();
     }
   }
-  if (config_.overlap_latency) {
-    // Pipeline stays full across steps: bandwidth bound vs dependency chain.
-    // Shared-tier replays never overlap (each is a dependent re-issue of the
-    // same warp), so they add serialized in both policies.
-    const TimeUnits bandwidth =
-        r.stages_total == 0 ? 0 : r.stages_total + config_.latency - 1;
-    const TimeUnits chain = static_cast<TimeUnits>(config_.latency) * r.access_steps;
-    r.time_units = std::max(bandwidth, chain) + compute_units + shared_units;
-  } else {
-    r.time_units = serialized + compute_units + shared_units;
-  }
-  return r;
+  return {timer.time_units(), timer.stats()};
 }
 
 TimeUnits simulate_units(const trace::Program& program, const Layout& layout,

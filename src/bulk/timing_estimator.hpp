@@ -1,11 +1,12 @@
 // Closed-form-per-step timing of bulk execution: the figure-scale fast path.
 //
-// Produces exactly the same time-unit total as UmmBulkExecutor (a property
-// the test suite asserts), but in O(1) per step instead of O(p): within one
-// step, every full warp's addresses form the same residue class of the same
-// arithmetic progression (see Layout), so the per-warp stage count is a
-// single memoised lookup.  No data is allocated — p = 4M sweeps of the
-// paper's Figures 11-12 run in seconds.
+// Produces exactly the same time units and counters as UmmBulkExecutor (a
+// property the test suite asserts), but in O(1) per step instead of O(p):
+// within one step, every full warp's addresses form the same residue class
+// of the same arithmetic progression (see Layout), so the per-warp stage
+// count is a single memoised lookup.  The counts are charged through the
+// same umm::AccessTimer the exact executor uses.  No data is allocated —
+// p = 4M sweeps of the paper's Figures 11-12 run in seconds.
 #pragma once
 
 #include <cstdint>
@@ -15,45 +16,39 @@
 #include "bulk/layout.hpp"
 #include "trace/program.hpp"
 #include "umm/cost_model.hpp"
-#include "umm/dmm.hpp"
 #include "umm/machine_config.hpp"
+#include "umm/timers.hpp"
 
 namespace obx::bulk {
 
 struct TimingResult {
   TimeUnits time_units = 0;
-  std::uint64_t access_steps = 0;
-  std::uint64_t compute_steps = 0;
-  std::uint64_t stages_total = 0;
-  std::uint64_t warps_dispatched = 0;
-  /// Σ bank-conflict rounds on the shared (DMM) tier; 0 when disabled.
-  std::uint64_t shared_rounds_total = 0;
+  umm::TimerStats stats;  ///< the counters UmmRunResult carries
 };
 
 class TimingEstimator {
  public:
-  /// Requires layout.uniform_residue(config.width) — true for row-/column-
-  /// wise always, for blocked layouts when the width divides the block.
-  /// With the shared tier enabled, blocked layouts are refused too (their
-  /// addresses are not one arithmetic progression modulo the bank-row
-  /// modulus); simulate_units() below falls back to the exact executor.
+  /// Requires supports(config, layout).
   TimingEstimator(umm::Model model, umm::MachineConfig config, Layout layout);
 
-  /// True when the fast path accepts this (config, layout) pair.
+  /// True when the fast path accepts this (config, layout) pair: the layout
+  /// must have uniform warp residues at the machine width — always true for
+  /// row-/column-wise and conflict-free, for blocked layouts when the width
+  /// divides the block.  Blocked layouts are further refused off the paper's
+  /// group size and with the shared tier enabled, where block-to-block jumps
+  /// break the residue cycle; simulate_units() below falls back to the exact
+  /// executor for them.
   static bool supports(const umm::MachineConfig& config, const Layout& layout);
 
-  /// Streams the program once, charging each step's closed-form cost.
+  /// Streams the program once, charging each step's closed-form counts.
   TimingResult run(const trace::Program& program) const;
 
-  /// Cost of a single access step at the given canonical address (both
-  /// tiers combined when the shared tier is enabled).
-  TimeUnits step_time(Addr canonical) const;
-
  private:
+  umm::Model model_;
   umm::MachineConfig config_;
   Layout layout_;
-  umm::StridedStepCost step_cost_;
-  std::optional<umm::BankedStepCost> shared_cost_;
+  umm::StridedStepCost global_cost_;
+  std::optional<umm::StridedStepCost> shared_cost_;
 };
 
 /// Simulated time units of `program` over `layout` on the given machine:

@@ -167,8 +167,8 @@ struct PlanProvenance {
 
   bool arrangement_forced = false;
   /// The searched candidates, in search order (column, row, blocked,
-  /// conflict-free), exactly one marked chosen.  A forced arrangement
-  /// records a single candidate.
+  /// conflict-free), exactly one marked chosen.  Empty for a forced
+  /// arrangement, which is not simulated at build.
   std::vector<ArrangementCandidate> candidates;
   /// Winner's margin over the best rejected candidate in simulated units (0
   /// when forced or when candidates tie).
@@ -264,7 +264,8 @@ class ExecutionPlan {
 
   /// Simulated UMM time units of one bulk run at the given occupancy on the
   /// plan's machine, memoised per distinct lane count (thread-safe).  The
-  /// reference-occupancy value is pre-seeded by the Planner.
+  /// Planner's arrangement search pre-seeds the reference-occupancy value; a
+  /// forced arrangement is priced on first use.
   TimeUnits units_for_lanes(std::size_t lanes) const;
 
   /// Largest resident-lane batch that keeps one batch's working set (input

@@ -162,21 +162,14 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
   // 3. Arrange — forced, or a search over {column, row, blocked,
   //    conflict-free}: simulated DMM+UMM units at the reference occupancy
   //    decide (strict-< wins, so ties keep the earlier candidate —
-  //    column-wise, the Theorem 3 time-optimal layout).
-  TimeUnits chosen_units = 0;
+  //    column-wise, the Theorem 3 time-optimal layout).  A forced
+  //    arrangement simulates nothing here: units_for_lanes() prices it on
+  //    first use.
   if (options_.arrangement.has_value()) {
     pv.arrangement_forced = true;
     plan->arrangement_ = *options_.arrangement;
     plan->arrangement_param_ =
         resolve_param(plan->arrangement_, options_.arrangement_param, options_.machine);
-    chosen_units = simulate(plan->program_, options_.reference_lanes, plan->arrangement_,
-                            plan->arrangement_param_, options_.machine);
-    ArrangementCandidate forced;
-    forced.arrangement = plan->arrangement_;
-    forced.param = plan->arrangement_param_;
-    forced.sim_units = chosen_units;
-    forced.chosen = true;
-    pv.candidates.push_back(forced);
   } else {
     for (const bulk::Arrangement arr :
          {bulk::Arrangement::kColumnWise, bulk::Arrangement::kRowWise,
@@ -199,7 +192,7 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
     pv.candidates[best].chosen = true;
     plan->arrangement_ = pv.candidates[best].arrangement;
     plan->arrangement_param_ = pv.candidates[best].param;
-    chosen_units = pv.candidates[best].sim_units;
+    const TimeUnits chosen_units = pv.candidates[best].sim_units;
 
     // Winner's margin over the best rejected candidate, in simulated units
     // (never negative: the winner has the fewest).
@@ -208,8 +201,8 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
       if (i == best) continue;
       pv.margin_units = std::min(pv.margin_units, pv.candidates[i].sim_units - chosen_units);
     }
+    plan->units_by_lanes_.emplace(options_.reference_lanes, chosen_units);
   }
-  plan->units_by_lanes_.emplace(options_.reference_lanes, chosen_units);
 
   // 4. Tile — record what the tile resolution picks at the reference
   //    occupancy under the plan tier's vector width (each run still resolves

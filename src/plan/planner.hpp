@@ -27,8 +27,9 @@ class Planner {
   ///                  slot (over-budget => interpreter fallback, recorded),
   ///                  then emit native code for the plan's SIMD tier where
   ///                  the backend and host allow (else the switch engine);
-  ///   3. arrange   — simulate row vs column at reference_lanes (or honour a
-  ///                  forced arrangement);
+  ///   3. arrange   — search the four arrangements by simulated units at
+  ///                  reference_lanes (or honour a forced arrangement,
+  ///                  simulating nothing);
   ///   4. tile      — record the lane-tile resolution at reference_lanes.
   /// The program is taken by value: the plan owns its (possibly rewritten)
   /// copy, and the caller's exec_cache slot is shared, not duplicated.

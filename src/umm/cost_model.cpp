@@ -1,55 +1,40 @@
 #include "umm/cost_model.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.hpp"
-#include "umm/address.hpp"
-#include "umm/warp.hpp"
 
 namespace obx::umm {
 
-namespace {
-
-std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
-  while (b != 0) {
-    const std::uint64_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
-}  // namespace
-
-StridedStepCost::StridedStepCost(Model model, MachineConfig config, std::uint64_t p,
+StridedStepCost::StridedStepCost(WarpRule rule, std::uint32_t width, std::uint64_t p,
                                  std::uint64_t stride)
-    : model_(model),
-      config_(config),
-      p_(p),
+    : rule_(rule),
+      width_(width),
       stride_(stride),
-      full_warps_(p / config.width),
-      tail_lanes_(p % config.width),
-      modulus_(model == Model::kUmm ? config.effective_group() : config.width),
-      delta_((config.width * stride) % modulus_),
-      period_(modulus_ / gcd_u64(delta_ == 0 ? modulus_ : delta_, modulus_)),
+      full_warps_(width == 0 ? 0 : p / width),
+      tail_lanes_(width == 0 ? 0 : p % width),
+      modulus_(rule.modulus()),
+      delta_(width * stride % modulus_),
+      period_(modulus_ / std::gcd(delta_, modulus_)),
       full_warp_count_(modulus_, 0),
       tail_warp_count_(modulus_, 0) {
-  config_.validate();
+  OBX_CHECK(width > 0, "warp width must be positive");
   OBX_CHECK(p > 0, "at least one lane");
 }
 
 std::uint64_t StridedStepCost::count_for_residue(std::uint64_t residue,
                                                  std::uint64_t lanes) const {
-  // Direct evaluation via the generic warp-cost function on synthetic
-  // addresses residue, residue+stride, ..., residue+(lanes-1)*stride.
+  // Direct evaluation via the generic warp rule on synthetic addresses
+  // residue, residue+stride, ..., residue+(lanes-1)*stride.
   std::vector<Addr> addrs(lanes);
   for (std::uint64_t j = 0; j < lanes; ++j) addrs[j] = residue + j * stride_;
-  return warp_stages(model_, addrs, config_);
+  return rule_.stages(addrs);
 }
 
 std::uint64_t StridedStepCost::memoised_full(std::uint64_t residue) const {
   std::uint64_t& memo = full_warp_count_[residue];
-  if (memo == 0) memo = count_for_residue(residue, config_.width);
+  if (memo == 0) memo = count_for_residue(residue, width_);
   return memo;
 }
 
@@ -61,8 +46,9 @@ StepStages StridedStepCost::stages(Addr base) const {
       // The paper's models: every warp shares the base residue.
       out.stages += full_warps_ * memoised_full(r0);
     } else {
-      // Transaction extension: warp m's residue is (r0 + m*delta) mod g,
-      // cycling with period g / gcd(delta, g).  Sum one period, multiply.
+      // Warp m's residue is (r0 + m*delta) mod modulus, cycling with period
+      // modulus / gcd(delta, modulus).  Sum one period, multiply, add the
+      // remainder prefix.
       const std::uint64_t reps = full_warps_ / period_;
       const std::uint64_t rem = full_warps_ % period_;
       std::uint64_t cycle_sum = 0;
@@ -86,12 +72,6 @@ StepStages StridedStepCost::stages(Addr base) const {
     out.warps += 1;
   }
   return out;
-}
-
-TimeUnits StridedStepCost::step_time(Addr base) const {
-  const StepStages s = stages(base);
-  if (s.stages == 0) return 0;
-  return s.stages + config_.latency - 1;
 }
 
 namespace {
@@ -124,12 +104,6 @@ TimeUnits theorem2_column_wise(std::uint64_t t, std::uint64_t p, const MachineCo
 TimeUnits theorem3_lower_bound(std::uint64_t t, std::uint64_t p, const MachineConfig& cfg) {
   return std::max<TimeUnits>(ceil_div(p * t, cfg.width),
                              static_cast<TimeUnits>(cfg.latency) * t);
-}
-
-std::uint64_t dmm_strided_warp_stages(std::uint64_t stride, std::uint32_t width) {
-  OBX_CHECK(width > 0, "width must be positive");
-  // gcd(0, w) = w covers the broadcast / stride-multiple-of-w case.
-  return gcd_u64(stride % width, width);
 }
 
 }  // namespace obx::umm

@@ -1,16 +1,20 @@
 // Closed-form cost model of bulk oblivious execution on the UMM / DMM.
 //
 // Two layers:
-//  1. StridedStepCost — the exact per-step cost for the layouts used by bulk
-//     execution.  In both the row-wise and the column-wise arrangement, the
-//     global addresses of one step form an arithmetic progression over lanes:
+//  1. StridedStepCost — the exact per-step stage count for the layouts used
+//     by bulk execution.  In every arrangement with the uniform-residue
+//     property, the global addresses of one step form an arithmetic
+//     progression over lanes:
 //       global(j) = base + j * stride        (j = lane index)
-//     with stride = n (row-wise) or stride = 1 (column-wise).  Because
-//     w*stride ≡ 0 (mod w), every full warp of such a step has the same
-//     address residue, so its stage count depends only on base mod w.  The
-//     class memoises the w possible counts, making the per-step cost O(1)
-//     after an O(w²) warm-up — this is what lets figure-scale sweeps run to
-//     p = 4M without materialising p·n words.
+//     with stride = n (row-wise), 1 (column-wise) or the pad stride
+//     (conflict-free).  A warp's charge under a WarpRule depends only on its
+//     base modulo rule.modulus(), and warp-to-warp bases advance by a fixed
+//     delta, so the residues cycle with a short period.  The class memoises
+//     the per-residue counts, making the per-step cost O(period) — O(1) for
+//     the paper's models — which is what lets figure-scale sweeps run to
+//     p = 4M without materialising p·n words.  One instance prices the global
+//     tier, another the shared tier; umm::AccessTimer turns the counts into
+//     time.
 //  2. The paper's asymptotic bounds (Lemma 1, Theorem 2, Theorem 3) as
 //     directly evaluable formulas, used by tests and the theory-vs-simulation
 //     ablation bench.
@@ -21,52 +25,46 @@
 
 #include "common/types.hpp"
 #include "umm/machine_config.hpp"
+#include "umm/warp.hpp"
 
 namespace obx::umm {
 
 /// Exact stage/warp counts of one bulk access step whose lane j accesses
 /// global address base + j*stride, for lanes 0..p-1.
 struct StepStages {
-  std::uint64_t stages = 0;  ///< Σ per-warp stage counts
+  std::uint64_t stages = 0;  ///< Σ per-warp stage counts (rounds, on a bank rule)
   std::uint64_t warps = 0;   ///< warps dispatched
 };
 
 class StridedStepCost {
  public:
-  /// p: number of lanes (threads); stride: lane-to-lane address distance.
-  StridedStepCost(Model model, MachineConfig config, std::uint64_t p, std::uint64_t stride);
+  /// rule: the tier's warp charge; width: warp width; p: number of lanes
+  /// (threads); stride: lane-to-lane address distance.
+  StridedStepCost(WarpRule rule, std::uint32_t width, std::uint64_t p,
+                  std::uint64_t stride);
 
   /// Stage/warp counts of the step with the given base address.  O(1) after
-  /// the residue class of base has been seen once.
+  /// the residue cycle of base has been seen once.
   StepStages stages(Addr base) const;
-
-  /// Time units of the step: stages + l - 1 (0 if no lane is active).
-  TimeUnits step_time(Addr base) const;
-
-  std::uint64_t lanes() const { return p_; }
-  std::uint64_t stride() const { return stride_; }
 
  private:
   std::uint64_t count_for_residue(std::uint64_t residue, std::uint64_t lanes) const;
   std::uint64_t memoised_full(std::uint64_t residue) const;
 
-  Model model_;
-  MachineConfig config_;
-  std::uint64_t p_;
+  WarpRule rule_;
+  std::uint32_t width_;
   std::uint64_t stride_;
   std::uint64_t full_warps_;
   std::uint64_t tail_lanes_;
-  // Residue modulus: the group size on the UMM (transaction extension), the
-  // bank count on the DMM.  A warp's stage count depends only on its base
-  // address modulo this value.
-  std::uint64_t modulus_;
+  std::uint64_t modulus_;  ///< rule_.modulus()
   // Warp-to-warp base advance modulo the modulus.  0 for the paper's models
-  // (w * stride ≡ 0 mod w); can be nonzero with the transaction extension,
-  // in which case residues cycle with period modulus_/gcd(delta, modulus_).
+  // (w * stride ≡ 0 mod w); nonzero with the transaction extension or a
+  // shared tier, in which case residues cycle with period
+  // modulus_ / gcd(delta, modulus_).
   std::uint64_t delta_;
   std::uint64_t period_;
-  // Memoised per-warp stage counts, indexed by base mod modulus_; 0 = not
-  // yet known (a dispatched warp always occupies >= 1 stage).
+  // Memoised per-warp counts, indexed by base mod modulus_; 0 = not yet known
+  // (a dispatched warp always occupies >= 1 stage).
   mutable std::vector<std::uint64_t> full_warp_count_;
   mutable std::vector<std::uint64_t> tail_warp_count_;
 };
@@ -91,12 +89,5 @@ TimeUnits theorem2_column_wise(std::uint64_t t, std::uint64_t p, const MachineCo
 /// Theorem 3: Ω(pt/w + lt) lower bound for any bulk execution of an
 /// oblivious algorithm with t memory steps; returned as max(⌈pt/w⌉, lt).
 TimeUnits theorem3_lower_bound(std::uint64_t t, std::uint64_t p, const MachineConfig& cfg);
-
-/// DMM closed form: a full warp of w lanes accessing addresses base + j·s
-/// hits w/gcd(s,w) distinct banks, gcd(s,w) lanes each — so its stage count
-/// is exactly gcd(s, w), independent of base.  (Row-wise bulk execution on
-/// the DMM therefore conflicts precisely when the input size shares a
-/// factor with the bank count; stride 0, the broadcast, degenerates to w.)
-std::uint64_t dmm_strided_warp_stages(std::uint64_t stride, std::uint32_t width);
 
 }  // namespace obx::umm

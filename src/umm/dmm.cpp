@@ -1,48 +1,13 @@
 #include "umm/dmm.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace obx::umm {
-
-namespace {
-
-constexpr std::size_t kStackBanks = 128;
-
-std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
-  while (b != 0) {
-    const std::uint64_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
-}  // namespace
 
 void SharedTier::validate() const {
   if (!enabled()) return;
   OBX_CHECK(bank_words > 0, "shared tier bank_words must be positive");
   OBX_CHECK(latency > 0, "shared tier latency must be positive");
-}
-
-std::uint64_t shared_warp_rounds(std::span<const Addr> addrs, const SharedTier& tier) {
-  OBX_DCHECK(tier.enabled(), "shared tier is disabled");
-  std::uint64_t counts_stack[kStackBanks] = {};
-  std::vector<std::uint64_t> heap;
-  std::uint64_t* counts = counts_stack;
-  if (tier.banks > kStackBanks) {
-    heap.assign(tier.banks, 0);
-    counts = heap.data();
-  }
-  std::uint64_t max_count = 0;
-  for (Addr a : addrs) {
-    if (a == kInvalidAddr) continue;
-    const std::uint64_t c = ++counts[shared_bank_of(a, tier)];
-    max_count = std::max(max_count, c);
-  }
-  return max_count;
 }
 
 std::uint64_t conflict_free_stride(const SharedTier& tier) {
@@ -52,78 +17,6 @@ std::uint64_t conflict_free_stride(const SharedTier& tier) {
   // would degenerate the scatter.  Both the disabled and the degenerate
   // tier fall back to stride 1 (plain column-wise).
   return tier.enabled() && tier.bank_words > 0 ? tier.bank_words : 1;
-}
-
-BankedStepCost::BankedStepCost(SharedTier tier, std::uint32_t width, std::uint64_t p,
-                               std::uint64_t stride)
-    : tier_(tier),
-      width_(width),
-      p_(p),
-      stride_(stride),
-      full_warps_(p / width),
-      tail_lanes_(p % width),
-      modulus_(tier.modulus()),
-      delta_((width * stride) % tier.modulus()),
-      period_(modulus_ / gcd_u64(delta_ == 0 ? modulus_ : delta_, modulus_)),
-      full_warp_rounds_(modulus_, 0),
-      tail_warp_rounds_(modulus_, 0) {
-  tier_.validate();
-  OBX_CHECK(tier_.enabled(), "BankedStepCost needs an enabled shared tier");
-  OBX_CHECK(width > 0, "warp width must be positive");
-  OBX_CHECK(p > 0, "at least one lane");
-}
-
-std::uint64_t BankedStepCost::count_for_residue(std::uint64_t residue,
-                                                std::uint64_t lanes) const {
-  std::vector<Addr> addrs(lanes);
-  for (std::uint64_t j = 0; j < lanes; ++j) addrs[j] = residue + j * stride_;
-  return shared_warp_rounds(addrs, tier_);
-}
-
-std::uint64_t BankedStepCost::memoised_full(std::uint64_t residue) const {
-  std::uint64_t& memo = full_warp_rounds_[residue];
-  if (memo == 0) memo = count_for_residue(residue, width_);
-  return memo;
-}
-
-SharedStepRounds BankedStepCost::rounds(Addr base) const {
-  const std::uint64_t r0 = base % modulus_;
-  SharedStepRounds out;
-  if (full_warps_ > 0) {
-    if (delta_ == 0) {
-      out.rounds += full_warps_ * memoised_full(r0);
-    } else {
-      // Residues cycle with period modulus/gcd(delta, modulus): sum one
-      // period, multiply, add the remainder prefix.
-      const std::uint64_t reps = full_warps_ / period_;
-      const std::uint64_t rem = full_warps_ % period_;
-      std::uint64_t cycle_sum = 0;
-      std::uint64_t rem_sum = 0;
-      std::uint64_t r = r0;
-      for (std::uint64_t m = 0; m < period_; ++m) {
-        const std::uint64_t k = memoised_full(r);
-        cycle_sum += k;
-        if (m < rem) rem_sum += k;
-        r = (r + delta_) % modulus_;
-      }
-      out.rounds += reps * cycle_sum + rem_sum;
-    }
-    out.warps += full_warps_;
-  }
-  if (tail_lanes_ > 0) {
-    const std::uint64_t r_tail = (r0 + full_warps_ * delta_) % modulus_;
-    std::uint64_t& memo = tail_warp_rounds_[r_tail];
-    if (memo == 0) memo = count_for_residue(r_tail, tail_lanes_);
-    out.rounds += memo;
-    out.warps += 1;
-  }
-  return out;
-}
-
-TimeUnits BankedStepCost::step_time(Addr base) const {
-  const SharedStepRounds r = rounds(base);
-  if (r.rounds == 0) return 0;
-  return r.rounds + tier_.latency - 1;
 }
 
 }  // namespace obx::umm

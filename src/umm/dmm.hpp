@@ -14,13 +14,13 @@
 // banks — bank_words > 1 models element types wider than a physical bank row
 // (e.g. 64-bit words on 32-bit banks), the configuration where the naive
 // stride-1 layout conflicts and the conflict-free stride pays off.
+//
+// The tier's charge is umm::WarpRule::shared (warp.hpp), the same bank
+// counter as the DMM's, priced per step by umm::StridedStepCost and charged
+// by umm::AccessTimer.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
-
-#include "common/types.hpp"
 
 namespace obx::umm {
 
@@ -34,79 +34,15 @@ struct SharedTier {
 
   bool enabled() const { return banks > 0; }
 
-  /// Bank-residue modulus: a warp's conflict pattern depends only on its
-  /// base address modulo banks * bank_words.
-  std::uint64_t modulus() const {
-    return static_cast<std::uint64_t>(banks) * bank_words;
-  }
-
   /// Throws std::logic_error when enabled with zero bank_words or latency.
   void validate() const;
 
   friend bool operator==(const SharedTier&, const SharedTier&) = default;
 };
 
-/// Bank holding address `a` under the tier.  Requires tier.enabled().
-inline std::uint64_t shared_bank_of(Addr a, const SharedTier& tier) {
-  return (a / tier.bank_words) % tier.banks;
-}
-
-/// Conflict rounds of one warp request on the shared tier: the maximum
-/// number of active lanes landing on a single bank (0 when all lanes are
-/// inactive, i.e. the warp is not dispatched).  The brute-force oracle the
-/// closed-form BankedStepCost is tested against.
-std::uint64_t shared_warp_rounds(std::span<const Addr> addrs, const SharedTier& tier);
-
 /// Lane-to-lane stride of the conflict-free arrangement: bank_words, so
 /// consecutive lanes hit consecutive banks regardless of the bank row size.
 /// 1 when the tier is disabled (the layout degenerates to column-wise).
 std::uint64_t conflict_free_stride(const SharedTier& tier);
-
-/// Round/warp totals of one bulk access step on the shared tier.
-struct SharedStepRounds {
-  std::uint64_t rounds = 0;  ///< Σ per-warp conflict rounds
-  std::uint64_t warps = 0;   ///< warps dispatched
-};
-
-/// Closed-form per-step shared-tier cost for arithmetic-progression layouts
-/// (row-/column-/conflict-free-wise): lane j of the step accesses
-/// base + j*stride.  Mirrors StridedStepCost: a warp's rounds depend only on
-/// its base modulo tier.modulus(), and warp-to-warp bases advance by a fixed
-/// delta = (width*stride) mod modulus, so residues cycle with a short period
-/// and the per-step cost is O(period) with memoised per-residue counts.
-class BankedStepCost {
- public:
-  /// Requires tier.enabled().  p: lanes; width: warp width; stride:
-  /// lane-to-lane address distance.
-  BankedStepCost(SharedTier tier, std::uint32_t width, std::uint64_t p,
-                 std::uint64_t stride);
-
-  /// Rounds/warps of the step whose lane-0 address is `base`.
-  SharedStepRounds rounds(Addr base) const;
-
-  /// Time units of the step on the shared tier alone: rounds + l_s - 1
-  /// (0 when no lane is active).
-  TimeUnits step_time(Addr base) const;
-
-  const SharedTier& tier() const { return tier_; }
-
- private:
-  std::uint64_t count_for_residue(std::uint64_t residue, std::uint64_t lanes) const;
-  std::uint64_t memoised_full(std::uint64_t residue) const;
-
-  SharedTier tier_;
-  std::uint32_t width_;
-  std::uint64_t p_;
-  std::uint64_t stride_;
-  std::uint64_t full_warps_;
-  std::uint64_t tail_lanes_;
-  std::uint64_t modulus_;
-  std::uint64_t delta_;
-  std::uint64_t period_;
-  // Memoised per-warp rounds, indexed by base mod modulus_; 0 = not yet
-  // known (a dispatched warp always costs >= 1 round).
-  mutable std::vector<std::uint64_t> full_warp_rounds_;
-  mutable std::vector<std::uint64_t> tail_warp_rounds_;
-};
 
 }  // namespace obx::umm

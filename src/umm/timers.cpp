@@ -2,15 +2,11 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-#include "umm/dmm.hpp"
-#include "umm/warp.hpp"
-
 namespace obx::umm {
 
 AccessTimer::AccessTimer(Model model, MachineConfig config)
-    : model_(model), config_(config), pipeline_(config) {
-  config_.validate();
+    : model_(model), config_(config), rule_(WarpRule::global(model, config)) {
+  if (config_.shared.enabled()) shared_rule_ = WarpRule::shared(config_.shared);
 }
 
 TimeUnits AccessTimer::charge_step(std::span<const Addr> addrs) {
@@ -21,13 +17,11 @@ TimeUnits AccessTimer::charge_step(std::span<const Addr> addrs) {
   for (std::size_t base = 0; base < addrs.size(); base += w) {
     const std::size_t count = std::min<std::size_t>(w, addrs.size() - base);
     const std::span<const Addr> warp = addrs.subspan(base, count);
-    const std::uint64_t k = warp_stages(model_, warp, config_);
+    const std::uint64_t k = rule_.stages(warp);
     if (k > 0) {
       total_stages += k;
       ++warps;
-      if (config_.shared.enabled()) {
-        shared_rounds += shared_warp_rounds(warp, config_.shared);
-      }
+      if (shared_rule_.has_value()) shared_rounds += shared_rule_->stages(warp);
     }
   }
   return charge_precomputed(total_stages, warps, shared_rounds);
@@ -35,7 +29,7 @@ TimeUnits AccessTimer::charge_step(std::span<const Addr> addrs) {
 
 TimeUnits AccessTimer::charge_precomputed(std::uint64_t total_stages, std::uint64_t warps,
                                           std::uint64_t shared_rounds) {
-  if (total_stages == 0) return 0;
+  if (total_stages == 0) return 0;  // no warp was dispatched
   ++stats_.access_steps;
   stats_.warps_dispatched += warps;
   stats_.stages_total += total_stages;
@@ -46,20 +40,20 @@ TimeUnits AccessTimer::charge_precomputed(std::uint64_t total_stages, std::uint6
     shared_units_ += shared_t;
     t += shared_t;
   }
-  pipeline_.advance(t);
+  now_ += t;
   return t;
 }
 
 TimeUnits AccessTimer::charge_compute() {
   ++stats_.compute_steps;
   if (!config_.count_compute) return 0;
-  pipeline_.advance(1);
+  ++now_;
   ++compute_units_;
   return 1;
 }
 
 TimeUnits AccessTimer::time_units() const {
-  if (!config_.overlap_latency) return pipeline_.now();
+  if (!config_.overlap_latency) return now_;
   const TimeUnits bandwidth =
       stats_.stages_total == 0 ? 0 : stats_.stages_total + config_.latency - 1;
   const TimeUnits chain =

@@ -3,18 +3,28 @@
 // One *step* of a bulk execution is the same instruction executed by all p
 // threads; an access step produces up to p memory requests (thread i's
 // request at index i, inactive threads marked kInvalidAddr).  The timer
-// splits the request vector into warps of w, computes each warp's stage
-// count under the selected model, and charges the pipelined batch time
-// (total stages + l - 1).  Consecutive steps of the same thread serialise on
-// the memory latency, which is what the stateful AccessPipeline models.
+// splits the request vector into warps of w, charges each warp under the
+// tier's WarpRule, and charges the pipelined batch time: a batch of warps
+// occupying S stages completes S + l - 1 time units after the first stage
+// enters the l-stage pipeline (paper Fig. 4: W(0) spanning 3 groups and W(1)
+// spanning 1 at l = 5 complete at 3 + 1 + 5 - 1 = 8).  A thread holds one
+// outstanding request at a time, so consecutive steps serialise on the
+// latency — the l·t term of Theorems 2 and 3.
+//
+// AccessTimer is the only place that accounts time: the exact executor
+// (umm::Machine) charges lane-level address vectors through charge_step(),
+// and the closed-form estimator (bulk::TimingEstimator) charges per-step
+// counts through charge_precomputed(), so the two differ only in how they
+// count stages.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "common/types.hpp"
 #include "umm/machine_config.hpp"
-#include "umm/pipeline.hpp"
+#include "umm/warp.hpp"
 
 namespace obx::umm {
 
@@ -26,6 +36,8 @@ struct TimerStats {
   /// Σ per-warp bank-conflict rounds on the shared (DMM) tier; stays zero
   /// when config.shared is disabled.
   std::uint64_t shared_rounds_total = 0;
+
+  friend bool operator==(const TimerStats&, const TimerStats&) = default;
 };
 
 class AccessTimer {
@@ -34,14 +46,14 @@ class AccessTimer {
 
   /// Charges one access step: `addrs[i]` is thread i's global address, or
   /// kInvalidAddr when thread i sits this step out.  Returns the time units
-  /// consumed by the step.
+  /// consumed by the step (0 when no lane is active).
   TimeUnits charge_step(std::span<const Addr> addrs);
 
-  /// Charges one access step whose per-warp stage counts were computed
-  /// elsewhere (the closed-form fast path of cost_model.hpp / dmm.hpp).
-  /// shared_rounds is the step's total bank-conflict rounds on the shared
-  /// tier (0 when the tier is disabled); it adds a serialized
-  /// rounds + l_s - 1 term on top of the global charge.
+  /// Charges one access step whose stage counts were computed elsewhere
+  /// (the closed form of cost_model.hpp): total_stages over `warps`
+  /// dispatched warps, costing total_stages + l - 1.  shared_rounds is the
+  /// step's total bank-conflict rounds on the shared tier (0 when the tier
+  /// is disabled); it adds a serialized rounds + l_s - 1 term on top.
   TimeUnits charge_precomputed(std::uint64_t total_stages, std::uint64_t warps,
                                std::uint64_t shared_rounds = 0);
 
@@ -63,8 +75,10 @@ class AccessTimer {
  private:
   Model model_;
   MachineConfig config_;
-  AccessPipeline pipeline_;
+  WarpRule rule_;
+  std::optional<WarpRule> shared_rule_;  ///< set when config.shared is enabled
   TimerStats stats_;
+  TimeUnits now_ = 0;           ///< serialized clock: Σ step charges
   TimeUnits compute_units_ = 0;
   TimeUnits shared_units_ = 0;  ///< Σ per-step (rounds + l_s - 1)
 };

@@ -14,8 +14,6 @@ constexpr std::size_t kStackWidth = 128;
 }  // namespace
 
 std::uint64_t umm_warp_stages(std::span<const Addr> addrs, std::uint32_t width) {
-  OBX_DCHECK(addrs.size() <= kStackWidth || width > kStackWidth,
-             "warp wider than the machine width");
   // Collect the address groups of active lanes, sort, count distinct runs.
   std::uint64_t groups[kStackWidth];
   std::vector<std::uint64_t> heap;
@@ -38,34 +36,45 @@ std::uint64_t umm_warp_stages(std::span<const Addr> addrs, std::uint32_t width) 
   return distinct;
 }
 
-std::uint64_t dmm_warp_stages(std::span<const Addr> addrs, std::uint32_t width) {
+std::uint64_t dmm_warp_stages(std::span<const Addr> addrs, std::uint32_t banks,
+                              std::uint32_t bank_words) {
   // Count requests per bank; the warp is replayed once per conflicting round,
   // so its stage count is the maximum multiplicity.
   std::uint64_t counts_stack[kStackWidth] = {};
   std::vector<std::uint64_t> heap;
   std::uint64_t* counts = counts_stack;
-  if (width > kStackWidth) {
-    heap.assign(width, 0);
+  if (banks > kStackWidth) {
+    heap.assign(banks, 0);
     counts = heap.data();
   }
   std::uint64_t max_count = 0;
   for (Addr a : addrs) {
     if (a == kInvalidAddr) continue;
-    const std::uint64_t c = ++counts[bank_of(a, width)];
+    const std::uint64_t c = ++counts[bank_of(a / bank_words, banks)];
     max_count = std::max(max_count, c);
   }
   return max_count;
 }
 
-std::uint64_t warp_stages(Model model, std::span<const Addr> addrs, std::uint32_t width) {
-  return model == Model::kUmm ? umm_warp_stages(addrs, width)
-                              : dmm_warp_stages(addrs, width);
+WarpRule WarpRule::global(Model model, const MachineConfig& config) {
+  config.validate();
+  if (model == Model::kDmm) return shared(SharedTier{.banks = config.width, .bank_words = 1});
+  return WarpRule(Model::kUmm, config.effective_group(), 0);
 }
 
-std::uint64_t warp_stages(Model model, std::span<const Addr> addrs,
-                          const MachineConfig& config) {
-  return model == Model::kUmm ? umm_warp_stages(addrs, config.effective_group())
-                              : dmm_warp_stages(addrs, config.width);
+WarpRule WarpRule::shared(const SharedTier& tier) {
+  tier.validate();
+  OBX_CHECK(tier.enabled(), "the shared tier is disabled");
+  return WarpRule(Model::kDmm, tier.bank_words, tier.banks);
+}
+
+std::uint64_t WarpRule::stages(std::span<const Addr> addrs) const {
+  return model_ == Model::kUmm ? umm_warp_stages(addrs, words_)
+                               : dmm_warp_stages(addrs, banks_, words_);
+}
+
+std::uint64_t WarpRule::modulus() const {
+  return model_ == Model::kUmm ? words_ : std::uint64_t{banks_} * words_;
 }
 
 }  // namespace obx::umm

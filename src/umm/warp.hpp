@@ -8,6 +8,10 @@
 //        conflicts are serialised).
 // Threads may sit out a step: inactive lanes are marked with kInvalidAddr and
 // contribute nothing; a fully inactive warp is not dispatched at all.
+//
+// WarpRule is the one charging rule every timing path uses: the global tier
+// of the machine (UMM or DMM) and the shared-memory tier, which is a DMM with
+// bank rows of `bank_words` words.
 #pragma once
 
 #include <cstdint>
@@ -24,16 +28,42 @@ namespace obx::umm {
 /// allows smaller groups.
 std::uint64_t umm_warp_stages(std::span<const Addr> addrs, std::uint32_t group_words);
 
-/// Stages occupied by one warp request on the DMM: maximum bank multiplicity
-/// among the active addresses (`banks` = machine width).
-std::uint64_t dmm_warp_stages(std::span<const Addr> addrs, std::uint32_t banks);
+/// Stages occupied by one warp request on a banked memory: the maximum
+/// number of active addresses on one bank, where word a lives in bank
+/// (a / bank_words) mod banks.  The paper's DMM has banks = width and
+/// bank_words = 1.  This is the one bank-conflict counter, and the
+/// brute-force oracle the closed forms are tested against.
+std::uint64_t dmm_warp_stages(std::span<const Addr> addrs, std::uint32_t banks,
+                              std::uint32_t bank_words = 1);
 
-/// Dispatches on the model enum; `width` serves as both the group size (UMM)
-/// and the bank count (DMM) — the paper's models.
-std::uint64_t warp_stages(Model model, std::span<const Addr> addrs, std::uint32_t width);
+/// How one tier of the machine charges a warp request.  Built only by the
+/// two factories below; nothing configures it directly.
+class WarpRule {
+ public:
+  /// The global memory: UMM address groups of config.effective_group()
+  /// words, or — Model::kDmm — the shared-tier rule at {banks = width,
+  /// bank_words = 1}.  Validates the config.
+  static WarpRule global(Model model, const MachineConfig& config);
 
-/// Config-aware dispatch honouring the transaction-granularity extension.
-std::uint64_t warp_stages(Model model, std::span<const Addr> addrs,
-                          const MachineConfig& config);
+  /// The shared-memory tier's bank-conflict rounds.  Requires an enabled,
+  /// valid tier.
+  static WarpRule shared(const SharedTier& tier);
+
+  /// Stages (UMM) or conflict rounds (banked) of one warp request; 0 when
+  /// every lane is inactive.
+  std::uint64_t stages(std::span<const Addr> addrs) const;
+
+  /// A warp's charge depends on its addresses only modulo this value: the
+  /// group size, or banks * bank_words.
+  std::uint64_t modulus() const;
+
+ private:
+  WarpRule(Model model, std::uint32_t words, std::uint32_t banks)
+      : model_(model), words_(words), banks_(banks) {}
+
+  Model model_;
+  std::uint32_t words_;  ///< address-group size (UMM) or bank row (DMM)
+  std::uint32_t banks_;  ///< bank count; unused on the UMM
+};
 
 }  // namespace obx::umm

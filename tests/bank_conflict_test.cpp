@@ -1,6 +1,6 @@
 // The shared-memory (DMM) tier: bank-conflict counting, the conflict-free
-// arrangement's zero-conflict guarantee, and the closed-form BankedStepCost
-// against the brute-force oracle.
+// arrangement's zero-conflict guarantee, and the closed-form StridedStepCost
+// under the shared rule against the brute-force oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +11,10 @@
 #include "bulk/layout.hpp"
 #include "bulk/timing_estimator.hpp"
 #include "bulk/umm_executor.hpp"
+#include "umm/cost_model.hpp"
 #include "umm/dmm.hpp"
 #include "umm/machine_config.hpp"
+#include "umm/warp.hpp"
 
 namespace {
 
@@ -37,7 +39,7 @@ StepProfile profile_step(const Layout& layout, Addr a, std::uint32_t width,
     for (std::size_t k = 0; k < width && warp * width + k < p; ++k) {
       addrs.push_back(layout.global(a, warp * width + k));
     }
-    const std::uint64_t r = umm::shared_warp_rounds(addrs, tier);
+    const std::uint64_t r = umm::dmm_warp_stages(addrs, tier.banks, tier.bank_words);
     out.rounds += r;
     out.max_rounds = std::max(out.max_rounds, r);
     ++out.warps;
@@ -88,7 +90,8 @@ TEST(BankConflict, QuantifiesNaiveArrangements) {
     // Row-wise: lane stride n = 16 words jumps 16/bank_words banks per lane,
     // so a warp revisits each bank width / (banks*bank_words/16) times.
     const Layout row = Layout::row_wise(p, n);
-    const std::uint64_t distinct = tier.modulus() / std::gcd<std::uint64_t>(n, tier.modulus());
+    const std::uint64_t modulus = std::uint64_t{tier.banks} * tier.bank_words;
+    const std::uint64_t distinct = modulus / std::gcd<std::uint64_t>(n, modulus);
     EXPECT_EQ(worst_rounds(row, n, width, tier),
               (width + distinct - 1) / distinct);
 
@@ -100,7 +103,7 @@ TEST(BankConflict, QuantifiesNaiveArrangements) {
 TEST(BankConflict, BlockedArrangementProfiles) {
   // Blocked layouts are column-wise inside each block; the brute-force
   // counter quantifies them too (they are not arithmetic progressions, so
-  // BankedStepCost refuses them — see TimingEstimator::supports).
+  // the strided fast path refuses them — see TimingEstimator::supports).
   const std::size_t n = 16;
   const std::size_t p = 64;
   const std::uint32_t width = 32;
@@ -111,16 +114,17 @@ TEST(BankConflict, BlockedArrangementProfiles) {
   EXPECT_LE(w, width);
 }
 
-TEST(BankConflict, BankedStepCostMatchesBruteForce) {
-  // The closed-form per-step cost must agree with shared_warp_rounds for
-  // every arithmetic-progression layout: strides, ragged tails, odd bases.
+TEST(BankConflict, SharedRuleStridedCostMatchesBruteForce) {
+  // The closed-form per-step cost under the shared rule must agree with the
+  // brute-force bank counter for every arithmetic-progression layout:
+  // strides, ragged tails, odd bases.
   for (const std::uint32_t banks : {8u, 32u}) {
     for (const std::uint32_t bank_words : {1u, 2u, 4u}) {
       const umm::SharedTier tier{.banks = banks, .bank_words = bank_words, .latency = 2};
       for (const std::uint64_t stride : {1u, 2u, 3u, 4u, 7u, 16u, 33u}) {
         for (const std::uint64_t p : {8u, 31u, 32u, 64u, 70u}) {
-          const umm::BankedStepCost cost(tier, 16, p, stride);
-          for (Addr base = 0; base < 2 * tier.modulus(); base += 3) {
+          const umm::StridedStepCost cost(umm::WarpRule::shared(tier), 16, p, stride);
+          for (Addr base = 0; base < 2 * std::uint64_t{banks} * bank_words; base += 3) {
             std::uint64_t rounds = 0;
             std::uint64_t warps = 0;
             for (std::uint64_t warp = 0; warp * 16 < p; ++warp) {
@@ -128,11 +132,11 @@ TEST(BankConflict, BankedStepCostMatchesBruteForce) {
               for (std::uint64_t k = 0; k < 16 && warp * 16 + k < p; ++k) {
                 addrs.push_back(base + (warp * 16 + k) * stride);
               }
-              rounds += umm::shared_warp_rounds(addrs, tier);
+              rounds += umm::dmm_warp_stages(addrs, banks, bank_words);
               ++warps;
             }
-            const umm::SharedStepRounds got = cost.rounds(base);
-            ASSERT_EQ(got.rounds, rounds)
+            const umm::StepStages got = cost.stages(base);
+            ASSERT_EQ(got.stages, rounds)
                 << "banks=" << banks << " bw=" << bank_words << " stride=" << stride
                 << " p=" << p << " base=" << base;
             ASSERT_EQ(got.warps, warps);
@@ -145,7 +149,7 @@ TEST(BankConflict, BankedStepCostMatchesBruteForce) {
 
 TEST(BankConflict, EstimatorMatchesExactExecutorWithTierOn) {
   // The TimingEstimator fast path and the exact lane-level executor must
-  // charge identical units when the shared tier is enabled.
+  // charge identical units and counters when the shared tier is enabled.
   const std::size_t n = 32;
   const std::size_t p = 96;
   const umm::MachineConfig cfg = umm::conflict_heavy_example();
@@ -157,11 +161,11 @@ TEST(BankConflict, EstimatorMatchesExactExecutorWithTierOn) {
        {Layout::row_wise(p, n), Layout::column_wise(p, n),
         Layout::conflict_free(p, n, cf)}) {
     ASSERT_TRUE(TimingEstimator::supports(cfg, layout)) << layout.name();
-    const TimeUnits fast =
-        TimingEstimator(umm::Model::kUmm, cfg, layout).run(program).time_units;
-    const TimeUnits exact =
-        UmmBulkExecutor(umm::Model::kUmm, cfg, layout).run(program, zeros).time_units;
-    EXPECT_EQ(fast, exact) << layout.name();
+    const TimingResult fast = TimingEstimator(umm::Model::kUmm, cfg, layout).run(program);
+    const UmmRunResult exact = UmmBulkExecutor(umm::Model::kUmm, cfg, layout).run(program, zeros);
+    EXPECT_EQ(fast.time_units, exact.time_units) << layout.name();
+    EXPECT_EQ(fast.stats, exact.stats) << layout.name();
+    EXPECT_GT(fast.stats.shared_rounds_total, 0u) << layout.name();
   }
 
   // Blocked is outside the fast path with the tier on; simulate_units must

@@ -2,9 +2,11 @@
 // Lemma 1 / Theorem 2 / Theorem 3 formulas.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "umm/cost_model.hpp"
+#include "umm/timers.hpp"
 #include "umm/warp.hpp"
 
 namespace {
@@ -13,7 +15,7 @@ using namespace obx;
 using namespace obx::umm;
 
 /// Brute-force oracle: materialise every lane's address, chunk into warps,
-/// sum warp stage counts with the generic routines.
+/// sum warp stage counts with the generic counters.
 StepStages brute_force_stages(Model model, std::uint32_t w, std::uint64_t p,
                               std::uint64_t stride, Addr base) {
   std::vector<Addr> addrs(p);
@@ -21,8 +23,9 @@ StepStages brute_force_stages(Model model, std::uint32_t w, std::uint64_t p,
   StepStages out;
   for (std::uint64_t begin = 0; begin < p; begin += w) {
     const std::uint64_t count = std::min<std::uint64_t>(w, p - begin);
+    const std::span<const Addr> warp = std::span<const Addr>(addrs).subspan(begin, count);
     const std::uint64_t k =
-        warp_stages(model, std::span<const Addr>(addrs).subspan(begin, count), w);
+        model == Model::kUmm ? umm_warp_stages(warp, w) : dmm_warp_stages(warp, w);
     if (k > 0) {
       out.stages += k;
       ++out.warps;
@@ -43,20 +46,19 @@ class StridedCostProperty : public ::testing::TestWithParam<CostCase> {};
 TEST_P(StridedCostProperty, UmmMatchesBruteForce) {
   const auto [w, l, p, stride] = GetParam();
   const MachineConfig cfg{.width = w, .latency = l};
-  const StridedStepCost cost(Model::kUmm, cfg, p, stride);
+  const StridedStepCost cost(WarpRule::global(Model::kUmm, cfg), w, p, stride);
   for (Addr base = 0; base < 3 * w + 5; ++base) {
     const StepStages expected = brute_force_stages(Model::kUmm, w, p, stride, base);
     const StepStages got = cost.stages(base);
     EXPECT_EQ(got.stages, expected.stages) << "base=" << base;
     EXPECT_EQ(got.warps, expected.warps) << "base=" << base;
-    EXPECT_EQ(cost.step_time(base), expected.stages + l - 1) << "base=" << base;
   }
 }
 
 TEST_P(StridedCostProperty, DmmMatchesBruteForce) {
   const auto [w, l, p, stride] = GetParam();
   const MachineConfig cfg{.width = w, .latency = l};
-  const StridedStepCost cost(Model::kDmm, cfg, p, stride);
+  const StridedStepCost cost(WarpRule::global(Model::kDmm, cfg), w, p, stride);
   for (Addr base = 0; base < 2 * w + 3; ++base) {
     const StepStages expected = brute_force_stages(Model::kDmm, w, p, stride, base);
     const StepStages got = cost.stages(base);
@@ -77,14 +79,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CostModel, RowWiseStepIsPStagesWhenStrideAtLeastW) {
   // Lemma 1 row-wise: stride n >= w puts every lane in its own group.
   const MachineConfig cfg{.width = 32, .latency = 100};
-  const StridedStepCost cost(Model::kUmm, cfg, 256, 64);
-  EXPECT_EQ(cost.stages(0).stages, 256u);
-  EXPECT_EQ(cost.step_time(0), 256u + 100 - 1);
+  const StridedStepCost cost(WarpRule::global(Model::kUmm, cfg), 32, 256, 64);
+  const StepStages s = cost.stages(0);
+  EXPECT_EQ(s.stages, 256u);
+  AccessTimer timer(Model::kUmm, cfg);
+  EXPECT_EQ(timer.charge_precomputed(s.stages, s.warps), 256u + 100 - 1);
 }
 
 TEST(CostModel, ColumnWiseStepIsPOverWStagesWhenAligned) {
   const MachineConfig cfg{.width = 32, .latency = 100};
-  const StridedStepCost cost(Model::kUmm, cfg, 256, 1);
+  const StridedStepCost cost(WarpRule::global(Model::kUmm, cfg), 32, 256, 1);
   EXPECT_EQ(cost.stages(0).stages, 8u);  // p/w aligned
   EXPECT_EQ(cost.stages(1).stages, 16u); // misaligned: 2 groups per warp
 }
@@ -113,15 +117,23 @@ TEST(CostModel, Theorem3LowerBoundIsMaxOfTerms) {
   EXPECT_EQ(theorem3_lower_bound(10, 32, cfg), 1000u);
 }
 
+/// Stages of one full DMM warp of width w at addresses base + j*stride.
+std::uint64_t dmm_strided_warp(std::uint64_t stride, std::uint32_t w, Addr base = 0) {
+  std::vector<Addr> addrs(w);
+  for (std::uint64_t j = 0; j < w; ++j) addrs[j] = base + j * stride;
+  return dmm_warp_stages(addrs, w);
+}
+
 TEST(CostModel, DmmStridedClosedFormMatchesSimulation) {
-  // gcd(s, w) = max bank multiplicity of a full strided warp, for every
-  // stride and base (exhaustive at small widths).
+  // A full warp of stride-s addresses hits w/gcd(s, w) distinct banks,
+  // gcd(s, w) lanes each, so its stage count is gcd(s mod w, w) for every
+  // stride and base (exhaustive at small widths; gcd(0, w) = w covers the
+  // broadcast).  Row-wise bulk execution on the DMM therefore conflicts
+  // precisely when the input size shares a factor with the bank count.
   for (const std::uint32_t w : {1u, 2u, 3u, 4u, 8u, 12u, 32u}) {
     for (std::uint64_t stride = 0; stride <= 3 * w; ++stride) {
       for (Addr base : {Addr{0}, Addr{1}, Addr{w - 1}, Addr{5 * w + 3}}) {
-        std::vector<Addr> addrs(w);
-        for (std::uint64_t j = 0; j < w; ++j) addrs[j] = base + j * stride;
-        EXPECT_EQ(dmm_strided_warp_stages(stride, w), dmm_warp_stages(addrs, w))
+        EXPECT_EQ(dmm_strided_warp(stride, w, base), std::gcd<std::uint64_t>(stride % w, w))
             << "w=" << w << " stride=" << stride << " base=" << base;
       }
     }
@@ -129,12 +141,12 @@ TEST(CostModel, DmmStridedClosedFormMatchesSimulation) {
 }
 
 TEST(CostModel, DmmStridedKnownValues) {
-  EXPECT_EQ(dmm_strided_warp_stages(1, 32), 1u);    // conflict-free
-  EXPECT_EQ(dmm_strided_warp_stages(2, 32), 2u);    // 2-way
-  EXPECT_EQ(dmm_strided_warp_stages(32, 32), 32u);  // full conflict
-  EXPECT_EQ(dmm_strided_warp_stages(0, 32), 32u);   // broadcast
-  EXPECT_EQ(dmm_strided_warp_stages(33, 32), 1u);   // odd stride: free
-  EXPECT_EQ(dmm_strided_warp_stages(12, 32), 4u);   // gcd(12,32)
+  EXPECT_EQ(dmm_strided_warp(1, 32), 1u);    // conflict-free
+  EXPECT_EQ(dmm_strided_warp(2, 32), 2u);    // 2-way
+  EXPECT_EQ(dmm_strided_warp(32, 32), 32u);  // full conflict
+  EXPECT_EQ(dmm_strided_warp(0, 32), 32u);   // broadcast
+  EXPECT_EQ(dmm_strided_warp(33, 32), 1u);   // odd stride: free
+  EXPECT_EQ(dmm_strided_warp(12, 32), 4u);   // gcd(12,32)
 }
 
 class OptimalityProperty : public ::testing::TestWithParam<std::uint64_t> {};

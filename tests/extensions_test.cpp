@@ -48,9 +48,9 @@ TEST(Transaction, ConfigAwareDispatch) {
   cfg.group_words = 8;
   std::vector<Addr> addrs;
   for (Addr a = 0; a < 32; ++a) addrs.push_back(a);
-  EXPECT_EQ(warp_stages(Model::kUmm, addrs, cfg), 4u);
+  EXPECT_EQ(WarpRule::global(Model::kUmm, cfg).stages(addrs), 4u);
   // DMM is bank-based; the group size does not apply.
-  EXPECT_EQ(warp_stages(Model::kDmm, addrs, cfg), 1u);
+  EXPECT_EQ(WarpRule::global(Model::kDmm, cfg).stages(addrs), 1u);
 }
 
 struct GroupCase {
@@ -66,7 +66,7 @@ TEST_P(GroupedCostProperty, StridedFastPathMatchesBruteForce) {
   const auto c = GetParam();
   MachineConfig cfg{.width = c.width, .latency = 3};
   cfg.group_words = c.group;
-  const StridedStepCost cost(Model::kUmm, cfg, c.p, c.stride);
+  const StridedStepCost cost(WarpRule::global(Model::kUmm, cfg), c.width, c.p, c.stride);
   for (Addr base = 0; base < 3 * c.group + 7; ++base) {
     // Brute force over all warps.
     std::uint64_t expected = 0;
@@ -93,7 +93,9 @@ INSTANTIATE_TEST_SUITE_P(
                       GroupCase{32, 12, 96, 5},     // non-power-of-two group
                       GroupCase{4, 3, 18, 2},       // small everything
                       GroupCase{8, 16, 64, 1},      // group wider than warp
-                      GroupCase{32, 1, 64, 1}));    // word-granularity
+                      GroupCase{32, 1, 64, 1},      // word-granularity
+                      GroupCase{256, 8, 512, 1},    // warp wider than 128 lanes
+                      GroupCase{256, 8, 300, 3}));  // ...with a tail and cycling
 
 TEST(Transaction, SimulatorAgreesWithEstimator) {
   const trace::Program program = algos::prefix_sums_program(48);

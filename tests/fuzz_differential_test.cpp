@@ -129,7 +129,7 @@ TEST_P(DifferentialFuzz, AllEnginesAgree) {
       << "seed " << GetParam() << " w=" << cfg.width << " l=" << cfg.latency
       << " g=" << cfg.group_words << " overlap=" << cfg.overlap_latency << " "
       << layout.name() << (model == umm::Model::kUmm ? " UMM" : " DMM");
-  ASSERT_EQ(sim_run.stats.stages_total, est.stages_total) << "seed " << GetParam();
+  ASSERT_EQ(sim_run.stats, est.stats) << "seed " << GetParam();
 
   // 3. Optimiser: outputs preserved, step counts never grow.
   const opt::OptimizeResult optimized = opt::optimize(program);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "algos/algorithm.hpp"
+#include "bulk/timing_estimator.hpp"
 #include "common/rng.hpp"
 #include "plan/plan_cache.hpp"
 #include "plan/planner.hpp"
@@ -69,18 +70,22 @@ TEST(PlanSearch, SortsFlipToConflictFreeUnderConflictHeavyMachine) {
   }
 }
 
-TEST(PlanSearch, ForcedArrangementRecordsSingleCandidate) {
+TEST(PlanSearch, ForcedArrangementSimulatesNothingAtBuild) {
+  // A forced arrangement records no candidate; units_for_lanes() prices it
+  // on first use, exactly as a simulation at build would have.
   PlanOptions options;
   options.reference_lanes = 64;
   options.arrangement = bulk::Arrangement::kConflictFree;
   options.arrangement_param = 4;
   const auto plan = Planner(options).build(algos::find("horner").make_program(16));
   EXPECT_TRUE(plan->provenance().arrangement_forced);
-  ASSERT_EQ(plan->provenance().candidates.size(), 1u);
-  EXPECT_TRUE(plan->provenance().candidates[0].chosen);
+  EXPECT_TRUE(plan->provenance().candidates.empty());
   EXPECT_EQ(plan->arrangement(), bulk::Arrangement::kConflictFree);
   EXPECT_EQ(plan->arrangement_param(), 4u);
   EXPECT_EQ(plan->provenance().margin_units, 0u);
+  EXPECT_EQ(plan->units_for_lanes(64),
+            bulk::simulate_units(plan->program(), plan->layout(64), umm::Model::kUmm,
+                                 options.machine));
 }
 
 TEST(PlanSearch, ConflictFreePlanRunsBitIdentically) {

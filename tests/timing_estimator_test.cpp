@@ -112,11 +112,4 @@ TEST(TimingEstimator, MonotoneInLatencyAndLanes) {
   }
 }
 
-TEST(TimingEstimator, StepTimeExposed) {
-  const umm::MachineConfig cfg{.width = 4, .latency = 5};
-  const TimingEstimator est(umm::Model::kUmm, cfg, Layout::column_wise(16, 8));
-  // Aligned step: 16/4 = 4 stages + 5 - 1.
-  EXPECT_EQ(est.step_time(0), 8u);
-}
-
 }  // namespace

@@ -69,9 +69,7 @@ TEST_P(SimulatorAgreement, FunctionalMatchesHostAndTimeMatchesEstimator) {
   const TimingEstimator estimator(c.model, cfg, layout);
   const TimingResult est = estimator.run(program);
   EXPECT_EQ(sim_run.time_units, est.time_units) << "timing fast path diverges";
-  EXPECT_EQ(sim_run.stats.stages_total, est.stages_total);
-  EXPECT_EQ(sim_run.stats.warps_dispatched, est.warps_dispatched);
-  EXPECT_EQ(sim_run.stats.access_steps, est.access_steps);
+  EXPECT_EQ(sim_run.stats, est.stats) << "timing fast path counts differ";
 }
 
 std::vector<SimCase> sim_cases() {
@@ -107,7 +105,8 @@ TEST(UmmExecutor, ComputeChargingMatchesEstimator) {
   const UmmRunResult sim = UmmBulkExecutor(umm::Model::kUmm, cfg, layout).run(program, inputs);
   const TimingResult est = TimingEstimator(umm::Model::kUmm, cfg, layout).run(program);
   EXPECT_EQ(sim.time_units, est.time_units);
-  EXPECT_GT(est.compute_steps, 0u);
+  EXPECT_EQ(sim.stats, est.stats);
+  EXPECT_GT(est.stats.compute_steps, 0u);
 }
 
 TEST(UmmExecutor, ColumnWiseBeatsRowWiseAtScale) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -84,11 +85,25 @@ TEST(DmmWarp, InactiveLanesIgnored) {
 }
 
 TEST(Warp, DispatchOnModel) {
-  // Stride-w addresses: 1 group on the UMM... no — stride w means groups
-  // differ; contrast broadcast (UMM-friendly) vs conflict (DMM-hostile).
+  // A broadcast is UMM-friendly (one group) and DMM-hostile (one bank).
+  const MachineConfig cfg{.width = 4, .latency = 1};
   std::vector<Addr> broadcast(4, Addr{40});
-  EXPECT_EQ(warp_stages(Model::kUmm, broadcast, 4), 1u);
-  EXPECT_EQ(warp_stages(Model::kDmm, broadcast, 4), 4u);
+  EXPECT_EQ(WarpRule::global(Model::kUmm, cfg).stages(broadcast), 1u);
+  EXPECT_EQ(WarpRule::global(Model::kDmm, cfg).stages(broadcast), 4u);
+}
+
+TEST(Warp, RuleModulusPerTier) {
+  // A warp's charge depends on its addresses modulo the group size (UMM),
+  // the bank count (DMM), or banks * bank_words (the shared tier).
+  MachineConfig cfg{.width = 32, .latency = 1};
+  EXPECT_EQ(WarpRule::global(Model::kUmm, cfg).modulus(), 32u);
+  EXPECT_EQ(WarpRule::global(Model::kDmm, cfg).modulus(), 32u);
+  cfg.group_words = 8;
+  EXPECT_EQ(WarpRule::global(Model::kUmm, cfg).modulus(), 8u);
+  EXPECT_EQ(WarpRule::global(Model::kDmm, cfg).modulus(), 32u);
+  EXPECT_EQ(WarpRule::shared(SharedTier{.banks = 16, .bank_words = 4}).modulus(), 64u);
+  EXPECT_THROW(WarpRule::shared(SharedTier{}), std::logic_error);
+  EXPECT_THROW(WarpRule::global(Model::kUmm, MachineConfig{.width = 0}), std::logic_error);
 }
 
 struct WarpCase {
