@@ -16,6 +16,7 @@
 #endif
 
 #include "common/check.hpp"
+#include "common/thread_name.hpp"
 
 namespace obx::bulk {
 
@@ -173,6 +174,7 @@ struct CorePool::Impl {
   }
 
   void worker_main(unsigned index) {
+    set_thread_name("obx-pool");
     if (pin) pin_worker(index);
     Worker& self = workers[index];
     std::unique_lock<std::mutex> lock(mutex);

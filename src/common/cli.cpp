@@ -25,18 +25,18 @@ Args Args::parse(int argc, const char* const* argv,
       key = key.substr(0, eq);
       has_value = true;
     }
-    OBX_CHECK(!key.empty(), "empty option name");
-    if (!known_options.empty()) {
-      OBX_CHECK(known_options.count(key) > 0 || bool_flags.count(key) > 0,
-                "unknown option --" + key);
+    if (key.empty()) throw UsageError("empty option name");
+    if (!known_options.empty() && known_options.count(key) == 0 &&
+        bool_flags.count(key) == 0) {
+      throw UsageError("unknown option --" + key);
     }
     if (bool_flags.count(key) > 0) {
-      OBX_CHECK(!has_value, "flag --" + key + " takes no value");
+      if (has_value) throw UsageError("flag --" + key + " takes no value");
       args.options_[key] = "true";
       continue;
     }
     if (!has_value) {
-      OBX_CHECK(i + 1 < argc, "option --" + key + " needs a value");
+      if (i + 1 >= argc) throw UsageError("option --" + key + " needs a value");
       value = argv[++i];
     }
     args.options_[key] = std::move(value);
@@ -73,6 +73,22 @@ double Args::get_double(const std::string& key, double fallback) const {
     OBX_CHECK(false, "option --" + key + " is not a number: " + it->second);
   }
   return fallback;
+}
+
+HostPort Args::get_host_port(const std::string& key,
+                             const std::string& fallback) const {
+  const std::string text = get(key, fallback);
+  const std::size_t colon = text.rfind(':');
+  const std::string digits = colon == std::string::npos ? "" : text.substr(colon + 1);
+  const bool well_formed = !digits.empty() && digits.size() <= 5 &&
+                           digits.find_first_not_of("0123456789") == std::string::npos;
+  unsigned port = 0;
+  if (well_formed) std::from_chars(digits.data(), digits.data() + digits.size(), port);
+  if (!well_formed || port > 65535) {
+    throw UsageError("--" + key + " expects HOST:PORT with PORT in 0-65535, got: " +
+                     text);
+  }
+  return HostPort{text.substr(0, colon), static_cast<std::uint16_t>(port)};
 }
 
 }  // namespace obx::cli

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 
+#include <array>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_name.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "serve/metrics.hpp"
@@ -42,7 +44,11 @@ struct Inbox {
   bool open = true;                  ///< loop still draining?
   WakePipe* wake = nullptr;          ///< guarded by mutex; null once closed
   std::atomic<std::uint64_t> dropped_after_close{0};
+  std::atomic<std::uint64_t> wakeups{0};
 
+  /// Wakes the loop only when `pending` fills from empty: the loop swaps it
+  /// out under this mutex, so a post that finds it non-empty is already
+  /// owed a turn by the post that filled it.
   void post(Completion&& c) {
     std::lock_guard<std::mutex> lock(mutex);
     if (!open) {
@@ -50,7 +56,10 @@ struct Inbox {
       return;
     }
     pending.push_back(std::move(c));
-    if (wake) wake->notify();
+    if (pending.size() == 1 && wake) {
+      wake->notify();
+      wakeups.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 };
 
@@ -70,6 +79,7 @@ struct Stats {
   std::atomic<std::uint64_t> would_block{0};
   std::atomic<std::uint64_t> idle_timeouts{0};
   std::atomic<std::uint64_t> stall_timeouts{0};
+  std::atomic<std::uint64_t> socket_writes{0};
 };
 
 struct Connection {
@@ -107,13 +117,19 @@ class Server::Loop {
   }
 
   void run() {
+    set_thread_name("obx-poll");
     const auto poll_granularity = std::chrono::milliseconds(20);
     std::optional<Clock::time_point> drain_deadline;
     std::vector<pollfd> fds;
+    std::vector<std::uint64_t> polled;
 
     for (;;) {
       if (stopping_.load(std::memory_order_acquire) && !drain_deadline) {
         drain_deadline = Clock::now() + options_.drain_timeout;
+        // Close, not just stop polling: the kernel would keep completing
+        // handshakes into the backlog, and a client connecting now would
+        // wait forever for an accept.
+        listener_ = ListenSocket{};
       }
       if (drain_deadline) {
         if (drained() || Clock::now() >= *drain_deadline) break;
@@ -121,10 +137,9 @@ class Server::Loop {
 
       fds.clear();
       fds.push_back(pollfd{wake_.read_fd(), POLLIN, 0});
-      const bool accepting = !stopping_.load(std::memory_order_acquire);
+      const bool accepting = listener_.valid();
       if (accepting) fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-      std::vector<std::uint64_t> polled;
-      polled.reserve(connections_.size());
+      polled.clear();
       for (auto& [id, conn] : connections_) {
         short events = 0;
         if (conn.want_read()) events = static_cast<short>(events | POLLIN);
@@ -161,7 +176,6 @@ class Server::Loop {
           continue;
         }
         const short revents = fds[cursor++].revents;
-        Connection& conn = it->second;
         short gone = POLLERR | POLLHUP | POLLNVAL;
 #ifdef POLLRDHUP
         gone = static_cast<short>(gone | POLLRDHUP);
@@ -171,12 +185,15 @@ class Server::Loop {
           close_connection(it);
           continue;
         }
-        if (revents & POLLOUT) flush_writes(conn, now);
         if (revents & POLLIN) handle_readable(it, now);
       }
 
       deliver_completions(now);
       retry_parked(now);
+      // One send per connection per turn: everything this turn encoded for a
+      // connection leaves together.  POLLOUT just wakes the loop for this
+      // pass when a full socket drains.
+      for (auto& [id, conn] : connections_) flush_writes(conn, now);
       enforce_timeouts(now);
       reap_closed();
     }
@@ -188,8 +205,6 @@ class Server::Loop {
     stopping_.store(true, std::memory_order_release);
     wake_.notify();
   }
-
-  std::uint16_t port() const { return listener_.port(); }
 
   ServerStatsSnapshot stats() const {
     ServerStatsSnapshot s;
@@ -209,6 +224,8 @@ class Server::Loop {
     s.would_block = stats_.would_block.load();
     s.idle_timeouts = stats_.idle_timeouts.load();
     s.stall_timeouts = stats_.stall_timeouts.load();
+    s.wakeups = inbox_->wakeups.load();
+    s.socket_writes = stats_.socket_writes.load();
     return s;
   }
 
@@ -243,12 +260,13 @@ class Server::Loop {
   void handle_readable(std::map<std::uint64_t, Connection>::iterator it,
                        Clock::time_point now) {
     Connection& conn = it->second;
-    std::uint8_t chunk[4096];
     bool saw_eof = false;
     for (;;) {
-      const IoResult r = conn.socket.read_some(chunk, sizeof(chunk));
+      const IoResult r = conn.socket.read_some(read_buf_.data(), read_buf_.size());
       if (r.kind == IoResult::Kind::kOk) {
-        conn.reader.feed(chunk, r.bytes);
+        conn.reader.feed(read_buf_.data(), r.bytes);
+        // A short read drained the socket; poll reports anything later.
+        if (r.bytes < read_buf_.size()) break;
         continue;
       }
       if (r.kind == IoResult::Kind::kWouldBlock) break;
@@ -367,12 +385,12 @@ class Server::Loop {
   }
 
   void deliver_completions(Clock::time_point now) {
-    std::vector<Completion> batch;
     {
       std::lock_guard<std::mutex> lock(inbox_->mutex);
-      batch.swap(inbox_->pending);
+      delivered_.swap(inbox_->pending);
     }
-    for (Completion& c : batch) route_completion(std::move(c), now);
+    for (Completion& c : delivered_) route_completion(std::move(c), now);
+    delivered_.clear();  // empty, so the next swap hands the inbox its storage
   }
 
   void route_completion(Completion&& c, Clock::time_point now) {
@@ -425,8 +443,7 @@ class Server::Loop {
       conn.write_pos = 0;
       conn.last_write_progress = now;
     }
-    encode_frame(frame, conn.write_buf);
-    flush_writes(conn, now);  // opportunistic: most responses fit in-kernel
+    encode_frame(frame, conn.write_buf);  // sent by the end-of-turn flush
   }
 
   void flush_writes(Connection& conn, Clock::time_point now) {
@@ -435,6 +452,7 @@ class Server::Loop {
           conn.write_buf.data() + conn.write_pos,
           conn.write_buf.size() - conn.write_pos);
       if (r.kind == IoResult::Kind::kOk) {
+        if (r.bytes > 0) stats_.socket_writes.fetch_add(1, std::memory_order_relaxed);
         conn.write_pos += r.bytes;
         conn.last_write_progress = now;
         continue;
@@ -525,6 +543,8 @@ class Server::Loop {
   ListenSocket listener_;
   WakePipe wake_;
   std::shared_ptr<Inbox> inbox_;
+  std::vector<Completion> delivered_;            ///< swapped with the inbox each turn
+  std::array<std::uint8_t, 64 * 1024> read_buf_{};  ///< every connection reads into it
   std::map<std::uint64_t, Connection> connections_;
   std::uint64_t next_conn_id_ = 1;
   std::size_t parked_count_ = 0;
@@ -583,6 +603,8 @@ std::string render_server_stats(const ServerStatsSnapshot& s) {
   counter("obx_net_would_block_total", s.would_block);
   counter("obx_net_idle_timeouts_total", s.idle_timeouts);
   counter("obx_net_stall_timeouts_total", s.stall_timeouts);
+  counter("obx_net_wakeups_total", s.wakeups);
+  counter("obx_net_socket_writes_total", s.socket_writes);
   return os.str();
 }
 

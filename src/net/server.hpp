@@ -1,11 +1,17 @@
 // Networked front end for serve::BulkService.
 //
-// One poll(2) event-loop thread owns every connection: it accepts clients,
-// reassembles frames (net/frame.hpp), validates submissions, and feeds them
-// into the service with try_submit — the callback-based, never-blocking
-// admission path.  Completions arrive on executor threads, are posted to a
-// mutex-guarded inbox, and a self-pipe wakes the loop to encode response
-// frames back onto the owning connection.
+// One poll(2) event-loop thread ("obx-poll") owns every connection: it
+// accepts clients, reassembles frames (net/frame.hpp), validates submissions,
+// and feeds them into the service with try_submit — the callback-based,
+// never-blocking admission path.  Completions arrive on executor threads and
+// are posted to a mutex-guarded inbox; a self-pipe wakes the loop only when
+// the inbox fills from empty, so one wakeup delivers every completion that
+// piled up before the loop swapped the inbox out.
+//
+// Each loop turn reads every readable connection, routes the inbox's
+// completions, retries parked submits, and only then writes: every frame a
+// turn encoded for a connection leaves in one send(2), so pipelined
+// responses share a syscall instead of paying one each.
 //
 // Backpressure and abuse handling:
 //   * A submission whose priority maps to the kBlock overflow policy on a
@@ -71,6 +77,12 @@ struct ServerStatsSnapshot {
   std::uint64_t would_block = 0;
   std::uint64_t idle_timeouts = 0;
   std::uint64_t stall_timeouts = 0;
+  /// Wake-pipe writes made to deliver completions (at most one per inbox
+  /// fill, so never more than submits_admitted).
+  std::uint64_t wakeups = 0;
+  /// send(2) calls that moved bytes; responses_sent / socket_writes is the
+  /// number of frames each write carried.
+  std::uint64_t socket_writes = 0;
 
   /// The wire-level exactly-once ledger (valid once the service quiesced).
   bool exactly_once() const {
@@ -92,9 +104,9 @@ class Server {
   const std::string& host() const { return host_; }
   std::uint16_t port() const { return port_; }
 
-  /// Stops accepting, refuses new submissions with kShuttingDown, waits up
-  /// to drain_timeout for in-flight responses to flush, closes everything,
-  /// joins the loop.  Idempotent; called by the destructor.  The service is
+  /// Closes the listener (a later connect is refused), refuses new
+  /// submissions with kShuttingDown, waits up to drain_timeout for in-flight
+  /// responses to flush, closes everything, joins the loop.  Idempotent; called by the destructor.  The service is
   /// left running — stop it afterwards.
   void stop();
 

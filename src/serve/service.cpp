@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "common/check.hpp"
+#include "common/thread_name.hpp"
 #include "plan/plan.hpp"
 
 namespace obx::serve {
@@ -209,6 +210,7 @@ void BulkService::resolve_dropped(Job&& job, JobStatus status) {
 }
 
 void BulkService::batcher_loop() {
+  set_thread_name("obx-batcher");
   for (;;) {
     const std::optional<Clock::time_point> due = batcher_.next_due();
     Job job;
@@ -252,6 +254,7 @@ void BulkService::dispatch(Batch&& batch) {
 }
 
 void BulkService::executor_loop() {
+  set_thread_name("obx-exec");
   Batch batch;
   while (batches_->pop(batch)) {
     execute(std::move(batch));

@@ -4,7 +4,8 @@
 # multi-tenant load with a metrics scrape, and a second server exercising
 # variable-length sessions (--sizes) over the oblivious workload family.
 # Every client invocation must exit 0 (completed ping; balanced load ledger,
-# zero transport errors).
+# zero transport errors).  First, the command-line boundary: --help prints
+# usage and exits 0, and a port outside 0-65535 exits 2.
 #
 #   check_client_loopback.sh <obx_cli> <obx_client>
 set -euo pipefail
@@ -16,6 +17,20 @@ fi
 
 cli="$1"
 client="$2"
+
+usage_text="$("$client" --help)"
+if [[ "$usage_text" != "usage: obx_client"* ]]; then
+  echo "obx_client --help printed: $usage_text" >&2
+  exit 1
+fi
+for bad in 127.0.0.1:70000 127.0.0.1:abc; do
+  status=0
+  "$client" --connect "$bad" --ping 2>/dev/null || status=$?
+  if [[ $status -ne 2 ]]; then
+    echo "obx_client --connect $bad exited $status, expected 2" >&2
+    exit 1
+  fi
+done
 
 log="$(mktemp)"
 server_pid=""

@@ -53,6 +53,50 @@ TEST(Cli, Validation) {
   EXPECT_NO_THROW(parse({"--n", "1"}, {}, {"n"}));
 }
 
+TEST(Cli, MalformedCommandLinesAreUsageErrors) {
+  using obx::cli::UsageError;
+  EXPECT_THROW(parse({"--n"}), UsageError);
+  EXPECT_THROW(parse({"--overlap=yes"}, {"overlap"}), UsageError);
+  EXPECT_THROW(parse({"--=1"}), UsageError);
+  try {
+    parse({"--x"}, {}, {"n"});
+    ADD_FAILURE() << "unknown option accepted";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "unknown option --x");
+  }
+  // --help is an option like any other: a tool that lists it as a flag
+  // gets it, and one that does not reports it as unknown.
+  EXPECT_TRUE(parse({"serve", "--help"}, {"help"}, {"n"}).get_bool("help"));
+  EXPECT_THROW(parse({"--help"}, {}, {"n"}), UsageError);
+}
+
+TEST(Cli, HostPortIsStrict) {
+  const auto host_port = [](const char* text) {
+    return parse({"--listen", text}).get_host_port("listen", "");
+  };
+  const obx::cli::HostPort full = host_port("10.0.0.7:9090");
+  EXPECT_EQ(full.host, "10.0.0.7");
+  EXPECT_EQ(full.port, 9090);
+  EXPECT_EQ(host_port("localhost:65535").port, 65535);
+  const obx::cli::HostPort bare = host_port(":0");
+  EXPECT_EQ(bare.host, "");
+  EXPECT_EQ(bare.port, 0);
+  EXPECT_EQ(parse({}).get_host_port("listen", "127.0.0.1:0").host, "127.0.0.1");
+
+  // Out of range used to wrap (:70000 became port 4464); garbage used to
+  // escape as std::stoi's exception.
+  for (const char* bad : {":70000", ":65536", ":99999", ":abc", ":80x", ": 80",
+                          ":+80", ":-1", ":0x50", ":000080", "127.0.0.1",
+                          "127.0.0.1:", ""}) {
+    EXPECT_THROW(host_port(bad), obx::cli::UsageError) << "'" << bad << "'";
+  }
+  try {
+    host_port(":70000");
+  } catch (const obx::cli::UsageError& e) {
+    EXPECT_STREQ(e.what(), "--listen expects HOST:PORT with PORT in 0-65535, got: :70000");
+  }
+}
+
 TEST(Cli, NegativeNumbers) {
   const Args args = parse({"--n", "-5", "--x", "-2.5"});
   EXPECT_EQ(args.get_int("n", 0), -5);

@@ -1,10 +1,14 @@
 // End-to-end loopback: net::Client ↔ net::Server ↔ serve::BulkService.
 // Multi-tenant, mixed priorities, outputs bit-identical to direct run_bulk,
-// exactly-once resolution even when the server closes mid-stream.
+// exactly-once resolution even when the server closes mid-stream or the
+// client half-closes with work in flight.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -150,7 +154,92 @@ TEST(NetLoopback, PipelinedOutOfOrderResponses) {
   }
   EXPECT_EQ(client.outstanding(), 0u);
 
+  // Every response has arrived, so every wakeup has been made. Completions
+  // that pile up share one wakeup, so there are never more than submits.
+  const net::ServerStatsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.responses_sent, window.size());
+  EXPECT_GT(stats.wakeups, 0u);
+  EXPECT_LE(stats.wakeups, stats.submits_admitted);
+  EXPECT_GT(stats.socket_writes, 0u);
+  const std::string scrape = server.scrape_metrics();
+  EXPECT_NE(scrape.find("obx_net_wakeups_total " + std::to_string(stats.wakeups)),
+            std::string::npos);
+  EXPECT_NE(scrape.find("obx_net_socket_writes_total "), std::string::npos);
+
   server.stop();
+  service.stop();
+}
+
+TEST(NetLoopback, HalfClosedClientGetsEveryResponse) {
+  // A raw peer pipelines every submit and then shuts down its write side:
+  // the server reads EOF with the work still in flight and must flush every
+  // response before it reaps the connection.
+  const std::vector<LoopbackProgram> programs = loopback_programs();
+  serve::BulkService service(loopback_service_options());
+  for (const auto& p : programs) {
+    service.register_program(p.id, p.algo->make_program(p.n));
+  }
+  net::Server server(service, net::ServerOptions{});
+
+  std::string error;
+  net::Socket peer = net::Socket::connect(server.host(), server.port(), &error);
+  ASSERT_TRUE(peer.valid()) << error;
+  // A server that never answers or never closes fails the reads, not ctest.
+  const timeval receive_timeout{.tv_sec = 30, .tv_usec = 0};
+  ASSERT_EQ(::setsockopt(peer.fd(), SOL_SOCKET, SO_RCVTIMEO, &receive_timeout,
+                         sizeof(receive_timeout)),
+            0);
+
+  constexpr std::uint32_t kRequests = 48;
+  Rng rng(31);
+  std::map<std::uint32_t, std::vector<Word>> expected;
+  std::vector<std::uint8_t> bytes;
+  for (std::uint32_t id = 1; id <= kRequests; ++id) {
+    const LoopbackProgram& p = programs[id % programs.size()];
+    net::SubmitFrame submit;
+    submit.request_id = id;
+    submit.program_id = p.id;
+    submit.input = p.algo->make_input(p.n, rng);
+    expected[id] = plan::run_bulk(p.program, submit.input, 1).flat;
+    net::encode_frame(net::Frame{std::move(submit)}, bytes);
+  }
+  for (std::size_t sent = 0; sent < bytes.size();) {
+    const net::IoResult w = peer.write_some(bytes.data() + sent, bytes.size() - sent);
+    ASSERT_EQ(w.kind, net::IoResult::Kind::kOk);
+    sent += w.bytes;
+  }
+  ASSERT_EQ(::shutdown(peer.fd(), SHUT_WR), 0);
+
+  net::FrameReader reader;
+  std::uint8_t chunk[4096];
+  for (;;) {
+    const net::IoResult r = peer.read_some(chunk, sizeof(chunk));
+    if (r.kind != net::IoResult::Kind::kOk) {
+      ASSERT_EQ(r.kind, net::IoResult::Kind::kClosed) << "no EOF from the server";
+      break;
+    }
+    reader.feed(chunk, r.bytes);
+    net::Frame frame;
+    while (reader.next(frame) == net::FrameReader::Status::kFrame) {
+      const auto* response = std::get_if<net::ResponseFrame>(&frame);
+      ASSERT_NE(response, nullptr) << "frame type " << static_cast<int>(net::type_of(frame));
+      const auto it = expected.find(response->request_id);
+      ASSERT_NE(it, expected.end()) << "unasked or repeated id " << response->request_id;
+      EXPECT_EQ(response->status, serve::JobStatus::kCompleted);
+      EXPECT_EQ(response->output, it->second) << "request " << it->first;
+      expected.erase(it);
+    }
+    ASSERT_FALSE(reader.failed()) << reader.error();
+  }
+  EXPECT_TRUE(expected.empty()) << expected.size() << " requests unanswered at EOF";
+  EXPECT_EQ(reader.buffered(), 0u) << "torn frame before EOF";
+
+  server.stop();
+  const net::ServerStatsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.submits_admitted, kRequests);
+  EXPECT_TRUE(stats.exactly_once())
+      << "admitted=" << stats.submits_admitted << " sent=" << stats.responses_sent
+      << " dropped=" << stats.responses_dropped;
   service.stop();
 }
 
@@ -174,6 +263,9 @@ TEST(NetLoopback, UnknownProgramAndBadInputGetErrorFrames) {
   Rng rng(3);
   std::vector<Word> input = programs[0].algo->make_input(programs[0].n, rng);
   EXPECT_TRUE(client.submit(programs[0].id, input).ok());
+  // The one admitted job filled the inbox from empty, so it woke the loop
+  // (a missed wakeup would only cost a poll timeout, invisible otherwise).
+  EXPECT_EQ(server.stats().wakeups, 1u);
 
   server.stop();
   service.stop();
@@ -210,7 +302,14 @@ TEST(NetLoopback, ServerCloseMidStreamResolvesEveryRequest) {
       }
     });
   }
-  std::this_thread::sleep_for(30ms);
+  // Stop once the first response has been routed: the clients are then
+  // mid-stream whatever the host's speed.
+  const auto flowing_deadline = std::chrono::steady_clock::now() + 30s;
+  while (server->stats().responses_sent == 0 &&
+         std::chrono::steady_clock::now() < flowing_deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_GT(server->stats().responses_sent, 0u) << "no response was ever routed";
   server->stop();  // mid-stream
   for (auto& t : threads) t.join();
 
@@ -223,6 +322,18 @@ TEST(NetLoopback, ServerCloseMidStreamResolvesEveryRequest) {
       << "admitted=" << stats.submits_admitted
       << " sent=" << stats.responses_sent
       << " dropped=" << stats.responses_dropped;
+  service.stop();
+}
+
+TEST(NetLoopback, StoppedServerRefusesNewConnections) {
+  // A client that connects once stop() has begun must be refused, not left
+  // in the kernel's accept backlog waiting for an accept that never comes.
+  serve::BulkService service(loopback_service_options());
+  net::Server server(service, net::ServerOptions{});
+  server.stop();
+  std::string error;
+  const net::Socket late = net::Socket::connect(server.host(), server.port(), &error);
+  EXPECT_FALSE(late.valid()) << "a stopped server still completes handshakes";
   service.stop();
 }
 

@@ -39,6 +39,13 @@ struct SimCase {
   umm::Model model;
 };
 
+// Names each case by its fields, so test names stay the same across builds.
+void PrintTo(const SimCase& c, std::ostream* os) {
+  *os << c.algo << " n=" << c.n << " p=" << c.p << " w=" << c.width
+      << " l=" << c.latency << ' ' << to_string(c.arrangement) << ' '
+      << (c.model == umm::Model::kUmm ? "umm" : "dmm");
+}
+
 class SimulatorAgreement : public ::testing::TestWithParam<SimCase> {};
 
 TEST_P(SimulatorAgreement, FunctionalMatchesHostAndTimeMatchesEstimator) {

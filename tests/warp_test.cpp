@@ -111,6 +111,11 @@ struct WarpCase {
   std::uint64_t stride;
 };
 
+// Names each case by its fields, so test names stay the same across builds.
+void PrintTo(const WarpCase& c, std::ostream* os) {
+  *os << "w=" << c.width << " stride=" << c.stride;
+}
+
 class WarpStagesProperty : public ::testing::TestWithParam<WarpCase> {};
 
 TEST_P(WarpStagesProperty, MatchesSetBasedOracle) {

@@ -81,13 +81,15 @@ namespace {
 
 using namespace obx;
 
-int usage() {
-  std::fprintf(stderr,
+/// Prints the usage text (to stdout when asked for with --help) and returns
+/// the exit status.
+int usage(int status = 2) {
+  std::fprintf(status == 0 ? stdout : stderr,
                "usage: obx_cli <list|run|plan|time|check|optimize|hmm|analyze|dump|"
                "serve-bench|serve|bench-net|fuzz> [<algorithm>] [--n N] [--p P] "
                "[options]\n"
                "run 'obx_cli list' to see the algorithm library.\n");
-  return 2;
+  return status;
 }
 
 const algos::Algorithm& algo_from(const cli::Args& args) {
@@ -473,14 +475,10 @@ std::vector<serve::WorkloadItem> register_workload(
 // --duration-s elapses (or stdin closes, for interactive use).  Exits nonzero
 // if the wire ledger ends unbalanced.
 int cmd_serve(const cli::Args& args) {
-  const std::string listen = args.get("listen", "127.0.0.1:0");
-  const std::size_t colon = listen.rfind(':');
-  OBX_CHECK(colon != std::string::npos && colon + 1 < listen.size(),
-            "--listen expects HOST:PORT, got: " + listen);
+  const cli::HostPort listen = args.get_host_port("listen", "127.0.0.1:0");
   net::ServerOptions server_options;
-  server_options.host = listen.substr(0, colon);
-  server_options.port =
-      static_cast<std::uint16_t>(std::stoi(listen.substr(colon + 1)));
+  server_options.host = listen.host;
+  server_options.port = listen.port;
 
   serve::BulkService service(service_options_from(args));
   const std::vector<std::size_t> sizes = sizes_from(args, 1024);
@@ -760,7 +758,7 @@ int main(int argc, char** argv) {
         argc, argv,
         {"overlap", "count-compute", "optimize", "snapshot", "names",
          "no-optimise", "no-compile", "no-shrink", "no-faults", "no-net",
-         "bursty", "scrape"},
+         "bursty", "scrape", "help"},
         {"n", "p", "width", "latency", "group", "banks", "bank-words",
          "shared-latency", "arrangement-param", "model", "arrangement", "workers",
          "seed", "sms", "algos", "jobs", "rate", "producers", "batch-lanes",
@@ -768,6 +766,7 @@ int main(int argc, char** argv) {
          "deadline-us", "iters", "max-steps", "replay", "listen", "duration-s",
          "quota-rate", "quota-burst", "tenants", "connections", "pipeline",
          "sizes"});
+    if (args.get_bool("help")) return usage(0);
     if (args.positional().empty()) return usage();
     const std::string& cmd = args.positional()[0];
     if (cmd == "list") return cmd_list(args);
@@ -783,6 +782,9 @@ int main(int argc, char** argv) {
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "bench-net") return cmd_bench_net(args);
     if (cmd == "fuzz") return cmd_fuzz(args);
+    return usage();
+  } catch (const cli::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -37,14 +37,16 @@ namespace {
 
 using namespace obx;
 
-int usage() {
-  std::fprintf(stderr,
+/// Prints the usage line (to stdout when asked for with --help) and returns
+/// the exit status.
+int usage(int status = 2) {
+  std::fprintf(status == 0 ? stdout : stderr,
                "usage: obx_client --connect HOST:PORT [--ping] [--algos a,b] "
                "[--n N | --sizes N1,N2] "
                "[--jobs J] [--rate R] [--bursty] [--tenants T] "
                "[--connections C] [--pipeline D] [--deadline-us U] [--seed S] "
                "[--scrape]\n");
-  return 2;
+  return status;
 }
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -205,22 +207,17 @@ int cmd_load(const std::string& host, std::uint16_t port, const cli::Args& args)
 int main(int argc, char** argv) {
   try {
     const cli::Args args = cli::Args::parse(
-        argc, argv, {"bursty", "scrape", "ping"},
+        argc, argv, {"bursty", "scrape", "ping", "help"},
         {"connect", "algos", "n", "sizes", "jobs", "rate", "tenants",
          "connections", "pipeline", "deadline-us", "seed"});
+    if (args.get_bool("help")) return usage(0);
     if (!args.has("connect")) return usage();
-    const std::string connect = args.get("connect", "");
-    const std::size_t colon = connect.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= connect.size()) {
-      std::fprintf(stderr, "--connect expects HOST:PORT, got: %s\n",
-                   connect.c_str());
-      return 2;
-    }
-    const std::string host = connect.substr(0, colon);
-    const std::uint16_t port =
-        static_cast<std::uint16_t>(std::stoi(connect.substr(colon + 1)));
-    if (args.get_bool("ping")) return cmd_ping(host, port, args);
-    return cmd_load(host, port, args);
+    const cli::HostPort target = args.get_host_port("connect", "");
+    if (args.get_bool("ping")) return cmd_ping(target.host, target.port, args);
+    return cmd_load(target.host, target.port, args);
+  } catch (const cli::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
