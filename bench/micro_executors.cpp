@@ -198,12 +198,13 @@ BENCHMARK(BM_Fig11BackendScaling)
 void BM_SimdVsScalar(benchmark::State& state) {
   // Lane-vectorization headroom on an ALU-dense workload: TEA (32 rounds of
   // shifts/xors/adds per block) on the compiled backend, one worker, with
-  // the SIMD tier pinned per run.  Arg 0 = scalar tier, arg 1 = the widest
-  // tier this CPU/build supports; the ratio of the two is the
-  // lane-vectorization speedup.
+  // the SIMD tier pinned per run.  One row per tier this CPU/build supports
+  // (the arg is the SimdIsa value, the label its name), so the rows show the
+  // tiers' order as well as each tier's lane-vectorization speedup over the
+  // scalar row.
   const std::size_t blocks = 32;
   const std::size_t p = 4096;
-  const SimdIsa isa = state.range(0) != 0 ? detect_simd_isa() : SimdIsa::kScalar;
+  const auto isa = static_cast<SimdIsa>(state.range(0));
   const trace::Program program = algos::tea_program(blocks);
   Rng rng(3);
   std::vector<Word> inputs;
@@ -224,7 +225,10 @@ void BM_SimdVsScalar(benchmark::State& state) {
                           static_cast<std::int64_t>(p * program.profile().total()));
   state.SetLabel(to_string(isa));
 }
-BENCHMARK(BM_SimdVsScalar)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+void SupportedSimdTiers(benchmark::internal::Benchmark* b) {
+  for (const SimdIsa isa : supported_simd_isas()) b->Arg(static_cast<std::int64_t>(isa));
+}
+BENCHMARK(BM_SimdVsScalar)->Apply(SupportedSimdTiers)->Unit(benchmark::kMillisecond);
 
 void BM_PlanColdVsWarm(benchmark::State& state) {
   // What the PlanCache buys: cold dispatch re-runs the whole prepare path

@@ -71,7 +71,7 @@ HostRunResult HostBulkExecutor::execute(const trace::Program& program,
       }
     };
   } else {
-    result.simd = active_simd_isa();  // what trace::bulk_alu will dispatch to
+    result.simd = SimdIsa::kScalar;  // trace::bulk_alu has no SIMD tier
     // Coarse chunks (~4 per worker), not per-tile: every interpreted chunk
     // re-drains the program stream, so the grain must amortise that cost.
     // The chunk containing lane 0 reports the per-input step counts.

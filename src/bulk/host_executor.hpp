@@ -49,8 +49,8 @@ struct HostRunResult {
   /// compile budget or when the plan asked for it.
   exec::Backend backend = exec::Backend::kInterpreted;
   /// SIMD tier the lockstep loop ran at: the plan's provenance().simd on the
-  /// compiled and JIT engines; the process-wide active_simd_isa() on the
-  /// interpreter, whose ALU sweeps go through trace::bulk_alu.
+  /// compiled and JIT engines; kScalar on the interpreter, whose ALU sweeps
+  /// (trace::bulk_alu) are one baseline loop with no tier.
   SimdIsa simd = SimdIsa::kScalar;
   /// What the CorePool scheduler did for this run's one region: tile tasks,
   /// cross-thread steals, submitter parks.  For workers <= 1 runs the region

@@ -13,16 +13,6 @@ namespace obx::check {
 
 namespace {
 
-/// SIMD tiers this host/build can actually execute, narrowest first.
-std::vector<SimdIsa> supported_tiers() {
-  std::vector<SimdIsa> tiers;
-  for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
-                            SimdIsa::kAvx2, SimdIsa::kAvx512}) {
-    if (simd_isa_supported(isa)) tiers.push_back(isa);
-  }
-  return tiers;
-}
-
 Divergence value_divergence(const ExecConfig& config, std::string_view path,
                             std::size_t lane, std::size_t word, Word expected, Word got) {
   Divergence d;
@@ -65,7 +55,7 @@ std::string Divergence::to_string() const {
 
 std::vector<ExecConfig> config_matrix(std::size_t p, std::size_t program_steps) {
   std::vector<ExecConfig> configs;
-  const std::vector<SimdIsa> tiers = supported_tiers();
+  const std::vector<SimdIsa> tiers = supported_simd_isas();
 
   configs.push_back(ExecConfig{});  // the interpreted engine
   for (const SimdIsa isa : tiers) {

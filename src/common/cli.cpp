@@ -3,8 +3,6 @@
 #include <charconv>
 #include <stdexcept>
 
-#include "common/check.hpp"
-
 namespace obx::cli {
 
 Args Args::parse(int argc, const char* const* argv,
@@ -55,24 +53,32 @@ std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const 
   std::int64_t out = 0;
   const auto& s = it->second;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  OBX_CHECK(ec == std::errc() && ptr == s.data() + s.size(),
-            "option --" + key + " is not an integer: " + s);
+  if (ec == std::errc::result_out_of_range) {
+    throw UsageError("option --" + key + " is out of range: " + s);
+  }
+  if (ec != std::errc() || ptr != s.data() + s.size()) {
+    throw UsageError("option --" + key + " is not an integer: " + s);
+  }
   return out;
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
+  const auto& s = it->second;
+  std::size_t consumed = 0;  // stays 0 when stod finds no number
+  double v = 0;
   try {
-    std::size_t consumed = 0;
-    const double v = std::stod(it->second, &consumed);
-    OBX_CHECK(consumed == it->second.size(),
-              "option --" + key + " is not a number: " + it->second);
-    return v;
+    v = std::stod(s, &consumed);
   } catch (const std::invalid_argument&) {
-    OBX_CHECK(false, "option --" + key + " is not a number: " + it->second);
+    // Reported below, with every other value that is not all number.
+  } catch (const std::out_of_range&) {
+    throw UsageError("option --" + key + " is out of range: " + s);
   }
-  return fallback;
+  if (consumed == 0 || consumed != s.size()) {
+    throw UsageError("option --" + key + " is not a number: " + s);
+  }
+  return v;
 }
 
 HostPort Args::get_host_port(const std::string& key,

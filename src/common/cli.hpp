@@ -15,7 +15,8 @@
 namespace obx::cli {
 
 /// A command line the tool cannot run: an unknown option, a missing value,
-/// a malformed HOST:PORT.  Tools print what() and their usage, and exit 2.
+/// a malformed or out-of-range number, a malformed HOST:PORT.  Tools print
+/// what() and their usage, and exit 2.
 class UsageError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -38,6 +39,8 @@ class Args {
   bool has(const std::string& key) const { return options_.count(key) > 0; }
 
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// The option as a number, or `fallback` when absent.  Throws UsageError
+  /// when the value is not a number or does not fit the type.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   /// `--key HOST:PORT`, strictly: PORT is decimal digits in [0, 65535] and

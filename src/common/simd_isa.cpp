@@ -76,6 +76,15 @@ bool simd_isa_supported(SimdIsa isa) {
   return false;
 }
 
+std::vector<SimdIsa> supported_simd_isas() {
+  std::vector<SimdIsa> tiers;
+  for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
+                            SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+    if (simd_isa_supported(isa)) tiers.push_back(isa);
+  }
+  return tiers;
+}
+
 SimdIsa detect_simd_isa() {
   if (simd_isa_supported(SimdIsa::kAvx512)) return SimdIsa::kAvx512;
   if (simd_isa_supported(SimdIsa::kAvx2)) return SimdIsa::kAvx2;
@@ -110,7 +119,7 @@ SimdIsa resolve_active_simd_isa() {
 }  // namespace
 
 SimdIsa active_simd_isa() {
-  // Latched once: every dispatch site (kernels, bulk_alu, plans) sees the
+  // Latched once: every dispatch site (kernels, the JIT, plans) sees the
   // same tier for the whole process lifetime, so cached artifacts and their
   // recorded provenance can never disagree with the code that runs.
   static const SimdIsa active = resolve_active_simd_isa();

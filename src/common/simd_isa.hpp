@@ -21,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace obx {
 
@@ -50,11 +51,15 @@ std::optional<SimdIsa> parse_simd_isa(std::string_view name);
 /// supports it.  kScalar is always true.
 bool simd_isa_supported(SimdIsa isa);
 
+/// Every tier simd_isa_supported() accepts, narrowest first (kScalar is
+/// always the first entry).
+std::vector<SimdIsa> supported_simd_isas();
+
 /// The widest supported tier on this CPU with this build.
 SimdIsa detect_simd_isa();
 
-/// The tier every dispatching component (compiled backend kernels,
-/// trace::bulk_alu, plan provenance) uses: detect_simd_isa() unless OBX_SIMD
+/// The tier every dispatching component (compiled backend kernels, the JIT,
+/// plan provenance) uses: detect_simd_isa() unless OBX_SIMD
 /// overrides it, latched on first call so one process never mixes tiers
 /// behind a cached plan's back.  Unsupported override values clamp to
 /// detect_simd_isa() with a one-time stderr warning.

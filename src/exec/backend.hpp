@@ -24,12 +24,13 @@
 namespace obx::exec {
 
 /// Which lockstep engine a plan requests (plan::PlanOptions::backend) and
-/// resolves.  kAuto prefers the copy-and-patch JIT (zero
-/// per-superinstruction dispatch; see exec/jit/jit_program.hpp), degrading
-/// to the compiled switch backend when emission is unavailable
-/// (non-x86-64/non-Linux, OBX_JIT=0, arena failure) and to the interpreter
-/// when the program exceeds the compile budget.  kJit and kCompiled ride the
-/// same ladder from their own rung — both fall back (with the fallback
+/// resolves.  kAuto and kCompiled run the compiled switch backend, whose
+/// segment loop inlines the vector kernels, degrading to the interpreter
+/// when the program exceeds the compile budget.  kJit asks for the
+/// copy-and-patch JIT (see exec/jit/jit_program.hpp), which calls the same
+/// kernels out of line and is slower on bulk-registry; it degrades to the
+/// compiled switch when emission is unavailable (non-x86-64/non-Linux,
+/// OBX_JIT=0, arena failure).  Every rung falls back (with the fallback
 /// recorded in the plan's provenance) rather than failing.
 /// kJit is last so the numeric values of the pre-JIT backends — which plan
 /// fingerprints fold in — are unchanged.

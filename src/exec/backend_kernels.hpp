@@ -3,10 +3,14 @@
 // Each kernel walks its tile W lanes at a time (Vec<W> main loop) and
 // finishes the ragged tail scalar (the same body instantiated at V = 1), so
 // any tile length is legal at any width.  Per-lane semantics are exactly the
-// scalar engine's: every element goes through trace::apply_one, and a lane's
-// result never depends on another lane's (obliviousness means no cross-lane
-// data flow inside a fused op — the only carried state, the triple-run
-// accumulator, is carried per lane in the vector register).
+// scalar engine's: vapply is trace::apply_one lane by lane (see simd.hpp),
+// and a lane's result never depends on another lane's (obliviousness means no
+// cross-lane data flow inside a fused op — the only carried state, the
+// triple-run accumulator, is carried per lane in the vector register).
+//
+// Every kernel reads Tile::len (and any immediate) into a local before its
+// loops: both have Word's type, so the compiler must assume any store
+// through a Word* may change them and would reload them every iteration.
 //
 // This header is included by the per-ISA translation units only
 // (backend_w1/w2/avx2/avx512.cpp).  Everything here is `static` so each TU
@@ -65,28 +69,32 @@ static void k_load(const Tile& t, const FusedOp& f) {
   if ((f.flags & opt::kElideAuxCommit) != 0) return;  // dead value: skip entirely
   const Word* m = mem_ref(t, f.addr);
   Word* d = reg(t, f.aux);
+  const std::size_t len = t.len;
   std::size_t j = 0;
-  for (; j + W <= t.len; j += W) Vec<W>::load(m + j).store(d + j);
-  for (; j < t.len; ++j) d[j] = m[j];
+  for (; j + W <= len; j += W) Vec<W>::load(m + j).store(d + j);
+  for (; j < len; ++j) d[j] = m[j];
 }
 
 template <std::size_t W>
 static void k_store(const Tile& t, const FusedOp& f) {
   Word* m = mem_ref(t, f.addr2);
   const Word* s = reg(t, f.aux);
+  const std::size_t len = t.len;
   std::size_t j = 0;
-  for (; j + W <= t.len; j += W) Vec<W>::load(s + j).store(m + j);
-  for (; j < t.len; ++j) m[j] = s[j];
+  for (; j + W <= len; j += W) Vec<W>::load(s + j).store(m + j);
+  for (; j < len; ++j) m[j] = s[j];
 }
 
 template <std::size_t W>
 static void k_imm(const Tile& t, const FusedOp& f) {
   if ((f.flags & opt::kElideAuxCommit) != 0) return;
   Word* d = reg(t, f.aux);
-  const Vec<W> iv = Vec<W>::splat(f.imm);
+  const Word imm = f.imm;
+  const Vec<W> iv = Vec<W>::splat(imm);
+  const std::size_t len = t.len;
   std::size_t j = 0;
-  for (; j + W <= t.len; j += W) iv.store(d + j);
-  for (; j < t.len; ++j) d[j] = f.imm;
+  for (; j + W <= len; j += W) iv.store(d + j);
+  for (; j < len; ++j) d[j] = imm;
 }
 
 template <Op OP, std::size_t W>
@@ -134,10 +142,11 @@ static void k_imm_alu_op(const Tile& t, const FusedOp& f) {
   const bool ddf = f.dst == f.aux;
   const Vec<W> ivw = Vec<W>::splat(f.imm);
   const Vec<1> iv1 = Vec<1>::splat(f.imm);
+  const std::size_t len = t.len;
   std::size_t j = 0;
-  for (; j + W <= t.len; j += W)
+  for (; j + W <= len; j += W)
     imm_alu_step<OP, W>(ir, d, a, b, c, ivw, commit, s0f, s1f, s2f, ddf, j);
-  for (; j < t.len; ++j)
+  for (; j < len; ++j)
     imm_alu_step<OP, 1>(ir, d, a, b, c, iv1, commit, s0f, s1f, s2f, ddf, j);
 }
 
@@ -173,10 +182,11 @@ static void k_load_alu_op(const Tile& t, const FusedOp& f) {
   const bool s1f = f.src1 == f.aux;
   const bool s2f = f.src2 == f.aux;
   const bool ddf = f.dst == f.aux;
+  const std::size_t len = t.len;
   std::size_t j = 0;
-  for (; j + W <= t.len; j += W)
+  for (; j + W <= len; j += W)
     load_alu_step<OP, W>(m, lr, d, a, b, c, commit, s0f, s1f, s2f, ddf, j);
-  for (; j < t.len; ++j)
+  for (; j < len; ++j)
     load_alu_step<OP, 1>(m, lr, d, a, b, c, commit, s0f, s1f, s2f, ddf, j);
 }
 
@@ -205,9 +215,10 @@ static void k_alu_store_op(const Tile& t, const FusedOp& f) {
   const Word* c = reg(t, f.src2);
   const Word* s = reg(t, f.aux);
   const bool sfwd = f.aux == f.dst;
+  const std::size_t len = t.len;
   std::size_t j = 0;
-  for (; j + W <= t.len; j += W) alu_store_step<OP, W>(m, d, a, b, c, s, sfwd, j);
-  for (; j < t.len; ++j) alu_store_step<OP, 1>(m, d, a, b, c, s, sfwd, j);
+  for (; j + W <= len; j += W) alu_store_step<OP, W>(m, d, a, b, c, s, sfwd, j);
+  for (; j < len; ++j) alu_store_step<OP, 1>(m, d, a, b, c, s, sfwd, j);
 }
 
 template <std::size_t W>
@@ -251,12 +262,13 @@ static void k_load_alu_store_op(const Tile& t, const FusedOp& f) {
   const bool ddf = f.dst == f.aux;
   const bool st_v = f.aux2 == f.dst;  // store sees the ALU result
   const bool st_t = f.aux2 == f.aux;  // store sees the loaded word
+  const std::size_t len = t.len;
   std::size_t j = 0;
-  for (; j + W <= t.len; j += W) {
+  for (; j + W <= len; j += W) {
     load_alu_store_step<OP, W>(in, out, lr, d, a, b, c, s, commit, s0f, s1f, s2f, ddf,
                                st_v, st_t, j);
   }
-  for (; j < t.len; ++j) {
+  for (; j < len; ++j) {
     load_alu_store_step<OP, 1>(in, out, lr, d, a, b, c, s, commit, s0f, s1f, s2f, ddf,
                                st_v, st_t, j);
   }
@@ -275,17 +287,19 @@ static void k_load_alu_store(const Tile& t, const FusedOp& f) {
 /// register tile (the tile is the whole point: every sweep hits L1).
 template <std::size_t W>
 static void k_reg_run(const Tile& t, const FusedOp& f, const Step* body) {
+  const std::size_t len = t.len;
   for (std::uint32_t k = 0; k < f.run_len; ++k) {
     const Step& s = body[k];
     if (s.kind == StepKind::kImm) {
       Word* d = reg(t, s.dst);
-      const Vec<W> iv = Vec<W>::splat(s.imm);
+      const Word imm = s.imm;
+      const Vec<W> iv = Vec<W>::splat(imm);
       std::size_t j = 0;
-      for (; j + W <= t.len; j += W) iv.store(d + j);
-      for (; j < t.len; ++j) d[j] = s.imm;
+      for (; j + W <= len; j += W) iv.store(d + j);
+      for (; j < len; ++j) d[j] = imm;
     } else {
       alu_sweep<W>(s.op, reg(t, s.dst), reg(t, s.src0), reg(t, s.src1), reg(t, s.src2),
-                   t.len);
+                   len);
     }
   }
 }
@@ -315,13 +329,13 @@ static OBX_ALWAYS_INLINE void triple_group_step(Word* acc, Word* ldr, Word* cons
 }
 
 template <Op OP, int GW, bool COMMIT, std::size_t W>
-static void k_triple_group(const Tile& t, Word* acc, Word* ldr, Word* const* in,
+static void k_triple_group(std::size_t len, Word* acc, Word* ldr, Word* const* in,
                            Word* const* out, bool s0l, bool s1l) {
   std::size_t j = 0;
-  for (; j + W <= t.len; j += W) {
+  for (; j + W <= len; j += W) {
     triple_group_step<OP, GW, COMMIT, W>(acc, ldr, in, out, s0l, s1l, j);
   }
-  for (; j < t.len; ++j) {
+  for (; j < len; ++j) {
     triple_group_step<OP, GW, COMMIT, 1>(acc, ldr, in, out, s0l, s1l, j);
   }
 }
@@ -335,6 +349,7 @@ static void k_triple_run_op(const Tile& t, const FusedOp& f, const Step* body) {
   const bool s1l = (f.flags & opt::kTripleS1Loaded) != 0;
   const bool want_ld = (f.flags & opt::kElideAuxCommit) == 0;
   const std::size_t runs = f.run_len;
+  const std::size_t len = t.len;
   Word* in[kGw];
   Word* out[kGw];
   std::size_t k = 0;
@@ -345,18 +360,18 @@ static void k_triple_run_op(const Tile& t, const FusedOp& f, const Step* body) {
       out[w] = mem_ref(t, body[base + 2].addr);
     }
     if (want_ld && k + kGw == runs) {
-      k_triple_group<OP, kGw, true, W>(t, acc, ldr, in, out, s0l, s1l);
+      k_triple_group<OP, kGw, true, W>(len, acc, ldr, in, out, s0l, s1l);
     } else {
-      k_triple_group<OP, kGw, false, W>(t, acc, ldr, in, out, s0l, s1l);
+      k_triple_group<OP, kGw, false, W>(len, acc, ldr, in, out, s0l, s1l);
     }
   }
   for (; k < runs; ++k) {
     in[0] = mem_ref(t, body[k * 3].addr);
     out[0] = mem_ref(t, body[k * 3 + 2].addr);
     if (want_ld && k + 1 == runs) {
-      k_triple_group<OP, 1, true, W>(t, acc, ldr, in, out, s0l, s1l);
+      k_triple_group<OP, 1, true, W>(len, acc, ldr, in, out, s0l, s1l);
     } else {
-      k_triple_group<OP, 1, false, W>(t, acc, ldr, in, out, s0l, s1l);
+      k_triple_group<OP, 1, false, W>(len, acc, ldr, in, out, s0l, s1l);
     }
   }
 }

@@ -161,10 +161,8 @@ std::string ExecutionPlan::describe() const {
   if (pv.jitted) {
     os << "emitted (code=" << pv.jit_code_bytes << "B patches=" << pv.jit_patches
        << ")";
-  } else if (options_.backend == exec::Backend::kInterpreted) {
-    os << "skipped (interpreted backend)";
-  } else if (options_.backend == exec::Backend::kCompiled) {
-    os << "skipped (compiled backend)";
+  } else if (options_.backend != exec::Backend::kJit) {
+    os << "skipped (" << exec::to_string(options_.backend) << " backend)";
   } else if (!pv.compiled) {
     os << "skipped (no compiled artifact)";
   } else if (!exec::jit_enabled()) {

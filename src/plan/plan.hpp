@@ -7,11 +7,12 @@
 //
 //   - the optimised trace::Program (or the original when the optimiser is
 //     disabled, the program is too long to capture, or no pass won),
-//   - the shared exec::CompiledProgram artifact and, where native code could
-//     be emitted, the exec::JitProgram (both also memoised through the
-//     program's exec_cache slot),
-//   - the resolved engine: the jit → compiled → interpreted fallback is
-//     decided here, at build time, and nowhere else,
+//   - the shared exec::CompiledProgram artifact and, when kJit is requested
+//     and native code could be emitted, the exec::JitProgram (both also
+//     memoised through the program's exec_cache slot),
+//   - the resolved engine: the compiled → interpreted fallback (jit →
+//     compiled → interpreted under kJit) is decided here, at build time,
+//     and nowhere else,
 //   - the chosen bulk::Arrangement for the simulated machine (a search over
 //     row / column / blocked / conflict-free by simulated DMM+UMM units at a
 //     reference occupancy, unless forced; host engines are
@@ -113,7 +114,7 @@ struct PlanOptions {
   /// active_simd_isa() (OBX_SIMD-overridable, latched).  Every tier is
   /// bit-identical, so a pin is pure tuning — and how tests and the fuzzer
   /// compare tiers in one process.  Must be a tier this CPU supports.  The
-  /// interpreter ignores it: trace::bulk_alu's tier is latched process-wide.
+  /// interpreter ignores it: trace::bulk_alu has no SIMD tier.
   std::optional<SimdIsa> simd{};
 
   /// Deterministic 64-bit digest of every knob above (machine included).
@@ -156,10 +157,11 @@ struct PlanProvenance {
   std::size_t compiled_fused_ops = 0;
 
   /// Copy-and-patch JIT emission (see exec/jit/jit_program.hpp).  Attempted
-  /// when a compiled artifact exists and the requested backend allows it
-  /// (kAuto / kJit); `jitted` false with `jit_attempted` true means emission
-  /// was unavailable (non-x86-64/non-Linux host, OBX_JIT=0, or an arena
-  /// failure) and the plan fell back to the compiled switch backend.
+  /// only when a compiled artifact exists and kJit was requested (kAuto
+  /// runs the switch engine); `jitted` false with `jit_attempted` true
+  /// means emission was unavailable (non-x86-64/non-Linux host, OBX_JIT=0,
+  /// or an arena failure) and the plan fell back to the compiled switch
+  /// backend.
   bool jit_attempted = false;
   bool jitted = false;
   std::size_t jit_code_bytes = 0;  ///< emitted native code size

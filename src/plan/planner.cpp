@@ -126,8 +126,9 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
 
   // 2. Compile — once per (program, process) through the shared exec_cache
   //    slot; an over-budget stream is a recorded interpreter fallback.  This
-  //    and step 2b are the engine ladder (jit → compiled → interpreted): the
-  //    executors run whatever rung it resolves to.
+  //    and step 2b are the engine ladder (kAuto and kCompiled: compiled →
+  //    interpreted; kJit: jit → compiled → interpreted): the executors run
+  //    whatever rung it resolves to.
   if (options_.backend != exec::Backend::kInterpreted) {
     pv.compile_attempted = true;
     plan->compiled_ = exec::CompiledProgram::get_or_compile(
@@ -139,14 +140,16 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
     }
   }
 
-  // 2b. Emit — copy-and-patch per-segment native code over the compiled
-  //     artifact, for the plan's SIMD tier (pinned, else the process-wide
-  //     one; results are tier-independent), memoised in the same exec_cache
-  //     slot.  kCompiled keeps the switch engine directly requestable; any
-  //     emission failure is a recorded fallback to it.
+  // 2b. Emit — only when kJit is requested: copy-and-patch per-segment
+  //     native code over the compiled artifact, for the plan's SIMD tier
+  //     (pinned, else the process-wide one; results are tier-independent),
+  //     memoised in the same exec_cache slot.  kAuto does not emit: the
+  //     switch engine inlines the same kernels the JIT calls out of line,
+  //     and runs bulk-registry faster.  Any emission failure is a recorded
+  //     fallback to the switch engine.
   pv.simd = options_.simd.value_or(active_simd_isa());
   pv.simd_width = simd_width_words(pv.simd);
-  if (plan->compiled_ != nullptr && options_.backend != exec::Backend::kCompiled) {
+  if (plan->compiled_ != nullptr && options_.backend == exec::Backend::kJit) {
     pv.jit_attempted = true;
     plan->jitted_ = exec::JitProgram::get_or_emit(plan->program_, plan->compiled_, pv.simd);
     if (plan->jitted_ != nullptr) {

@@ -37,7 +37,7 @@ inline constexpr Word kCanonicalNaN = Word{0x7ff8000000000000ULL};
 /// Bit-casts an arithmetic result back to a Word, canonicalizing NaN.
 /// Hardware NaN-payload propagation picks a payload from the *first* source
 /// operand of the instruction — and the compiler may commute a `+` or `*`
-/// differently in scalar codegen than in the SLP-vectorized copy of this
+/// differently in scalar codegen than in a vector kernel's copy of this
 /// same expression, so two engines computing `a + b` on two NaNs can return
 /// different bit patterns.  Collapsing every NaN result to one canonical
 /// pattern is what makes "bit-identical in every engine at every vector
@@ -128,24 +128,5 @@ OBX_ALWAYS_INLINE void dispatch_op(Op op, F&& f) {
 #undef OBX_TRACE_OP
   OBX_CHECK(false, "unknown ALU op");
 }
-
-namespace detail {
-
-/// Generic lockstep ALU sweep.  `Tag` exists so each SIMD translation unit
-/// owns a distinct instantiation: the loop body is identical C++, but the TU
-/// compiles it under its own target flags, and distinct symbols keep the
-/// linker from folding a wide-vector body into a baseline caller.
-template <int Tag>
-void bulk_alu_tagged(Op op, Word* dst, const Word* a, const Word* b, const Word* c,
-                     std::size_t count) {
-  dispatch_op(op, [&](auto opc) {
-    constexpr Op OP = decltype(opc)::value;
-    for (std::size_t i = 0; i < count; ++i) {
-      dst[i] = apply_one<OP>(a[i], b[i], c[i], dst[i]);
-    }
-  });
-}
-
-}  // namespace detail
 
 }  // namespace obx::trace

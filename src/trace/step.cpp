@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "common/simd_isa.hpp"
 #include "trace/alu_ops.hpp"
 #include "trace/value.hpp"
 
@@ -22,41 +21,14 @@ Word apply_alu(Op op, Word a, Word b, Word c, Word old_dst) {
   return result;
 }
 
-namespace detail {
-// Wide-vector sweeps, defined in per-ISA translation units that are only
-// part of the build when the compiler supports the target flags (see
-// src/trace/CMakeLists.txt).  Tag 0 below is the baseline body compiled with
-// the project's default flags (SSE2 on x86-64, AdvSIMD on AArch64).
-#if defined(OBX_SIMD_HAVE_AVX2)
-void bulk_alu_avx2(Op op, Word* dst, const Word* a, const Word* b, const Word* c,
-                   std::size_t count);
-#endif
-#if defined(OBX_SIMD_HAVE_AVX512)
-void bulk_alu_avx512(Op op, Word* dst, const Word* a, const Word* b, const Word* c,
-                     std::size_t count);
-#endif
-}  // namespace detail
-
 void bulk_alu(Op op, Word* dst, const Word* a, const Word* b, const Word* c,
               std::size_t count) {
-  using Fn = void (*)(Op, Word*, const Word*, const Word*, const Word*, std::size_t);
-  // One body per SIMD tier, picked once per process (active_simd_isa is
-  // latched; OBX_SIMD=scalar pins the baseline body).
-  static const Fn fn = [] {
-    switch (active_simd_isa()) {
-#if defined(OBX_SIMD_HAVE_AVX512)
-      case SimdIsa::kAvx512:
-        return static_cast<Fn>(detail::bulk_alu_avx512);
-#endif
-#if defined(OBX_SIMD_HAVE_AVX2)
-      case SimdIsa::kAvx2:
-        return static_cast<Fn>(detail::bulk_alu_avx2);
-#endif
-      default:
-        return static_cast<Fn>(detail::bulk_alu_tagged<0>);
+  dispatch_op(op, [&](auto opc) {
+    constexpr Op OP = decltype(opc)::value;
+    for (std::size_t i = 0; i < count; ++i) {
+      dst[i] = apply_one<OP>(a[i], b[i], c[i], dst[i]);
     }
-  }();
-  fn(op, dst, a, b, c, count);
+  });
 }
 
 std::string to_string(Op op) {

@@ -115,8 +115,10 @@ struct Step {
 Word apply_alu(Op op, Word a, Word b, Word c, Word old_dst);
 
 /// Applies one ALU op across `count` lanes: dst[i] = op(a[i], b[i], c[i],
-/// dst[i]).  The op dispatch is hoisted out of the lane loop so the loop
-/// vectorises — this is the hot path of the lockstep host executor.
+/// dst[i]).  The op dispatch is hoisted out of the lane loop, so each lane
+/// costs one inlined apply_one.  This is the interpreted engine's ALU sweep:
+/// one baseline-flags loop with no SIMD tier (the compiled engines run the
+/// per-tier vector kernels of src/exec instead).
 void bulk_alu(Op op, Word* dst, const Word* a, const Word* b, const Word* c,
               std::size_t count);
 

@@ -5,7 +5,8 @@
 # variable-length sessions (--sizes) over the oblivious workload family.
 # Every client invocation must exit 0 (completed ping; balanced load ledger,
 # zero transport errors).  First, the command-line boundary: --help prints
-# usage and exits 0, and a port outside 0-65535 exits 2.
+# usage and exits 0, and a port outside 0-65535 or a malformed or
+# out-of-range number exits 2.
 #
 #   check_client_loopback.sh <obx_cli> <obx_client>
 set -euo pipefail
@@ -28,6 +29,15 @@ for bad in 127.0.0.1:70000 127.0.0.1:abc; do
   "$client" --connect "$bad" --ping 2>/dev/null || status=$?
   if [[ $status -ne 2 ]]; then
     echo "obx_client --connect $bad exited $status, expected 2" >&2
+    exit 1
+  fi
+done
+for bad in "$client --connect 127.0.0.1:1 --ping --n abc" "$cli run fft --n abc" \
+           "$cli serve-bench --rate 1e999"; do
+  status=0
+  $bad >/dev/null 2>&1 || status=$?
+  if [[ $status -ne 2 ]]; then
+    echo "'$bad' exited $status, expected 2" >&2
     exit 1
   fi
 done

@@ -28,11 +28,9 @@ export OBX_SIMD=scalar
 # covered by core_pool_test / fuzz_differential_test in-process.
 export OBX_WORKERS=1
 export OBX_PIN=0
-# JIT emission is host-dependent (x86-64 Linux only) and its code size lands
-# in the provenance and the fingerprint; pin it off so the goldens read
-# "skipped (disabled)" on every host.  The JIT itself is covered by
-# exec_jit_test / fuzz_differential_test in-process.
-export OBX_JIT=0
+# The goldens plan with the default backend (kAuto), which never emits JIT
+# code, so their `jit` line reads "skipped (auto backend)" on every host.  The
+# JIT itself is covered by exec_jit_test / fuzz_differential_test in-process.
 
 if [[ "$mode" == "--update" ]]; then
   mkdir -p "$golden_dir"

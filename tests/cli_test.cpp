@@ -97,6 +97,32 @@ TEST(Cli, HostPortIsStrict) {
   }
 }
 
+// A malformed or out-of-range number is a usage error (the tools print the
+// message and their usage, and exit 2), never a failed internal check or a
+// stray std::out_of_range.
+TEST(Cli, BadNumbersAreUsageErrors) {
+  using obx::cli::UsageError;
+  for (const char* bad : {"abc", "12x", "", "1.5", "99999999999999999999"}) {
+    EXPECT_THROW(parse({"--n", bad}).get_int("n", 0), UsageError) << "'" << bad << "'";
+  }
+  for (const char* bad : {"abc", "1y", "", "1e999", "-1e999"}) {
+    EXPECT_THROW(parse({"--rate", bad}).get_double("rate", 0), UsageError)
+        << "'" << bad << "'";
+  }
+  try {
+    parse({"run", "fft", "--n", "abc"}).get_int("n", 64);
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "option --n is not an integer: abc");
+  }
+  try {
+    parse({"serve-bench", "--rate", "1e999"}).get_double("rate", 40000);
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "option --rate is out of range: 1e999");
+  }
+}
+
 TEST(Cli, NegativeNumbers) {
   const Args args = parse({"--n", "-5", "--x", "-2.5"});
   EXPECT_EQ(args.get_int("n", 0), -5);

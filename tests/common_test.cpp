@@ -200,6 +200,19 @@ TEST(SimdIsa, DetectionIsSupportedAndStable) {
   EXPECT_EQ(active_simd_isa(), active_simd_isa());
 }
 
+TEST(SimdIsa, SupportedTiersRunNarrowestFirst) {
+  const std::vector<SimdIsa> tiers = supported_simd_isas();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front(), SimdIsa::kScalar);
+  EXPECT_EQ(tiers.back(), detect_simd_isa());
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    EXPECT_TRUE(simd_isa_supported(tiers[i])) << to_string(tiers[i]);
+    if (i > 0) {
+      EXPECT_LT(tiers[i - 1], tiers[i]);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Aligned allocation
 // ---------------------------------------------------------------------------

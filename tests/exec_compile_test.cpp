@@ -11,7 +11,6 @@
 #include "engine_plan.hpp"
 #include "exec/backend.hpp"
 #include "exec/compiled_program.hpp"
-#include "exec/jit/jit_program.hpp"
 #include "opt/fusion.hpp"
 #include "plan/plan.hpp"
 #include "serve/program_cache.hpp"
@@ -89,10 +88,8 @@ TEST(CompileCache, StreamDrainedAtMostOncePerProcess) {
     const bulk::HostBulkExecutor exec(*plan, p);
     const auto run1 = exec.run(program, inputs);
     const auto run2 = exec.run(copy, inputs);
-    // kAuto runs the JIT where emission is available and the compiled
-    // switch everywhere else — either way the program compiled.
-    EXPECT_EQ(run1.backend, exec::jit_available() ? exec::Backend::kJit
-                                                  : exec::Backend::kCompiled);
+    // kAuto runs the compiled switch on every host: the program compiled.
+    EXPECT_EQ(run1.backend, exec::Backend::kCompiled);
     EXPECT_EQ(run1.memory, run2.memory);
   }
   EXPECT_EQ(invocations->load(), 3 * build + 1);

@@ -2,11 +2,12 @@
 // (interpreted, compiled, JIT) and awkward lane counts, the image path must
 // return bit-identical lane-major memory to the scalar interpreter run once
 // per lane, and the output path must return that interpreter's outputs
-// without building a memory image.  The tile engines are also pinned to the
-// scalar SIMD tier and to the best tier this CPU/build supports — the
-// lane-vectorization contract (including the float-op algorithms, whose
-// lane-wise IEEE results must not change with vector width).  A JIT case
-// runs on the compiled switch where copy-and-patch is unavailable.
+// without building a memory image.  The tile engines are also pinned to
+// every SIMD tier this CPU/build supports — the lane-vectorization contract
+// (including the float-op algorithms, whose lane-wise IEEE results must not
+// change with vector width).  A JIT case runs on the compiled switch where
+// copy-and-patch is unavailable.  ExecOpEdges runs every op over the
+// fuzzer's edge words at every tier.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,13 +17,16 @@
 
 #include "algos/algorithm.hpp"
 #include "bulk/host_executor.hpp"
+#include "check/generator.hpp"
 #include "common/rng.hpp"
 #include "common/simd_isa.hpp"
 #include "engine_plan.hpp"
 #include "exec/backend.hpp"
 #include "exec/jit/jit_program.hpp"
 #include "plan/plan.hpp"
+#include "trace/alu_ops.hpp"
 #include "trace/interpreter.hpp"
+#include "trace/value.hpp"
 
 namespace {
 
@@ -68,13 +72,12 @@ class ExecEquivalence : public ::testing::TestWithParam<Case> {
     }
   }
 
-  /// SIMD pins to sweep: unset (the process default), then both ends of the
-  /// range.  The interpreted engine ignores the pin, so it runs unset only.
+  /// SIMD pins to sweep: unset (the process default), then every supported
+  /// tier.  The interpreted engine ignores the pin, so it runs unset only.
   std::vector<std::optional<SimdIsa>> tiers() const {
     std::vector<std::optional<SimdIsa>> tiers{std::nullopt};
     if (engine_ == exec::Backend::kInterpreted) return tiers;
-    tiers.emplace_back(SimdIsa::kScalar);
-    if (detect_simd_isa() != SimdIsa::kScalar) tiers.emplace_back(detect_simd_isa());
+    for (const SimdIsa isa : supported_simd_isas()) tiers.emplace_back(isa);
     return tiers;
   }
 
@@ -190,13 +193,79 @@ TEST(ExecEquivalenceRaggedTail, OddLaneCountsMatchScalarTier) {
     const HostRunResult scalar = plan::run(
         *engine_plan(program, {.backend = exec::Backend::kCompiled, .workers = 1, .simd = SimdIsa::kScalar}),
         inputs, p);
-    const HostRunResult best = plan::run(
-        *engine_plan(program, {.backend = exec::Backend::kCompiled, .workers = 1, .simd = detect_simd_isa()}),
-        inputs, p);
     ASSERT_EQ(scalar.backend, exec::Backend::kCompiled);
-    ASSERT_EQ(best.backend, exec::Backend::kCompiled);
-    ASSERT_EQ(scalar.memory, best.memory)
-        << "p=" << p << " tier=" << to_string(best.simd);
+    for (const SimdIsa isa : supported_simd_isas()) {
+      const HostRunResult got = plan::run(
+          *engine_plan(program, {.backend = exec::Backend::kCompiled, .workers = 1, .simd = isa}),
+          inputs, p);
+      ASSERT_EQ(got.backend, exec::Backend::kCompiled);
+      ASSERT_EQ(scalar.memory, got.memory) << "p=" << p << " tier=" << to_string(isa);
+    }
+  }
+}
+
+// Every ALU op over every (x, y) pair of the fuzzer's edge words (NaN
+// payloads, ±0, ±inf, denormals, INT64_MIN/MAX, shift counts 63/64/65), with
+// a few (z, d) pairs for select and the cmov family: one lane per operand
+// tuple, and one program that applies every op to its lane's operands and
+// stores each result.  The compiled engine must match trace::interpret word
+// for word at every supported tier.  The lane count is odd, so the last
+// tile ends in a scalar tail at every vector width.
+TEST(ExecOpEdges, EveryOpOnEdgeWordsMatchesInterpreterAtEveryTier) {
+  constexpr std::size_t kOps = static_cast<std::size_t>(trace::Op::kMov) + 1;
+  constexpr std::size_t kIn = 4;  // x, y, z, d
+  const std::vector<Word>& edges = check::edge_words();
+  const std::pair<Word, Word> zd[] = {
+      {Word{0}, Word{1}},
+      {trace::from_f64(-0.0), Word{0xdeadbeefcafebabeULL}},
+      {~Word{0}, trace::kCanonicalNaN ^ Word{1}},
+  };
+  std::vector<Word> inputs;
+  for (const Word x : edges) {
+    for (const Word y : edges) {
+      for (const auto& [z, d] : zd) inputs.insert(inputs.end(), {x, y, z, d});
+    }
+  }
+  inputs.insert(inputs.end(), {Word{0}, Word{0}, Word{0}, Word{0}});
+  const std::size_t p = inputs.size() / kIn;
+  ASSERT_EQ(p % 2, 1u);
+
+  std::vector<trace::Step> steps;
+  for (std::uint8_t r = 0; r < 3; ++r) steps.push_back(trace::Step::load(r, r));
+  for (std::size_t k = 0; k < kOps; ++k) {
+    steps.push_back(trace::Step::load(3, 3));
+    steps.push_back(trace::Step::alu(static_cast<trace::Op>(k), 3, 0, 1, 2));
+    steps.push_back(trace::Step::store(static_cast<Addr>(kIn + k), 3));
+  }
+  const trace::Program program = trace::make_replay_program(
+      "op-edges", kIn + kOps, kIn, kIn, kOps, 4, std::move(steps));
+
+  std::vector<Word> expected;
+  for (std::size_t j = 0; j < p; ++j) {
+    const trace::InterpreterResult ref =
+        trace::interpret(program, std::span<const Word>(inputs).subspan(j * kIn, kIn));
+    const auto out = ref.output(program);  // a view into ref.memory
+    expected.insert(expected.end(), out.begin(), out.end());
+  }
+
+  for (const SimdIsa isa : supported_simd_isas()) {
+    std::vector<Word> got;
+    const HostRunResult run = plan::run(
+        *engine_plan(program, {.backend = exec::Backend::kCompiled, .workers = 1, .simd = isa}),
+        inputs, p, &got);
+    ASSERT_EQ(run.backend, exec::Backend::kCompiled);
+    ASSERT_EQ(got.size(), expected.size());
+    int reported = 0;
+    for (std::size_t i = 0; i < got.size() && reported < 8; ++i) {
+      if (got[i] == expected[i]) continue;
+      const std::size_t j = i / kOps;
+      const Word* in = inputs.data() + j * kIn;
+      ADD_FAILURE() << to_string(isa) << " " << trace::to_string(static_cast<trace::Op>(i % kOps))
+                    << std::hex << " x=0x" << in[0] << " y=0x" << in[1] << " z=0x" << in[2]
+                    << " d=0x" << in[3] << ": expected 0x" << expected[i] << " got 0x"
+                    << got[i];
+      ++reported;
+    }
   }
 }
 

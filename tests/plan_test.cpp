@@ -184,11 +184,11 @@ TEST(PlannerTest, ForcedArrangementSkipsSimulationChoice) {
 TEST(PlannerTest, ResolvedBackendIsNeverAuto) {
   const algos::Algorithm& algo = algos::find("prefix-sums");
   const auto compiled = plan::build_plan(algo.make_program(64), plan::PlanOptions{});
-  // kAuto resolves to the JIT rung where emission is available, else the
-  // compiled switch — never to kAuto itself.
-  EXPECT_EQ(compiled->backend(), exec::jit_available() ? exec::Backend::kJit
-                                                       : exec::Backend::kCompiled);
-  EXPECT_EQ(compiled->jitted() != nullptr, exec::jit_available());
+  // kAuto resolves to the compiled switch on every host (it never emits
+  // native code) — never to kAuto itself.
+  EXPECT_EQ(compiled->backend(), exec::Backend::kCompiled);
+  EXPECT_EQ(compiled->jitted(), nullptr);
+  EXPECT_FALSE(compiled->provenance().jit_attempted);
   ASSERT_NE(compiled->compiled(), nullptr);
   EXPECT_GT(compiled->provenance().compiled_segments, 0u);
   EXPECT_GT(compiled->provenance().compiled_fused_ops, 0u);
@@ -263,9 +263,7 @@ TEST(PlanCacheTest, HitReturnsIdenticalPlanAndCompiledArtifactWithoutRedrain) {
 
   const auto first = cache.get_or_build("counting", program);
   ASSERT_NE(first, nullptr);
-  const exec::Backend expect_backend =
-      exec::jit_available() ? exec::Backend::kJit : exec::Backend::kCompiled;
-  EXPECT_EQ(first->backend(), expect_backend);
+  EXPECT_EQ(first->backend(), exec::Backend::kCompiled);
   const int drains_after_build = invocations->load();
   EXPECT_GT(drains_after_build, 0);
 
@@ -280,7 +278,7 @@ TEST(PlanCacheTest, HitReturnsIdenticalPlanAndCompiledArtifactWithoutRedrain) {
   const bulk::HostBulkExecutor exec(*first, 4);
   std::vector<Word> inputs(4 * kCountingWords, Word{2});
   const auto result = exec.run(first->program(), inputs);
-  EXPECT_EQ(result.backend, expect_backend);
+  EXPECT_EQ(result.backend, exec::Backend::kCompiled);
   EXPECT_EQ(invocations->load(), drains_after_build);
 }
 
@@ -410,8 +408,8 @@ TEST(PlanEquivalenceTest, PlanConstructedExecutorsMatchPlanRun) {
   EXPECT_EQ(host.gather_outputs(plan->program(), run.memory), expected);
 }
 
-// PlanOptions::simd pins the tier end to end: the plan records it, the JIT
-// is emitted for it, and executors built from the plan run at it — scalar
+// PlanOptions::simd pins the tier end to end: the plan records it, a kJit
+// plan emits for it, and executors built from the plan run at it — scalar
 // and the widest tier this CPU supports, in one process.
 TEST(PlanEquivalenceTest, SimdPinReachesProvenanceExecutorAndJit) {
   const algos::Algorithm& algo = algos::find("tea");
@@ -422,6 +420,7 @@ TEST(PlanEquivalenceTest, SimdPinReachesProvenanceExecutorAndJit) {
   std::vector<Word> first;
   for (const SimdIsa tier : {SimdIsa::kScalar, detect_simd_isa()}) {
     plan::PlanOptions options;
+    options.backend = exec::Backend::kJit;
     options.simd = tier;
     const auto plan = plan::build_plan(program, options);
     EXPECT_EQ(plan->provenance().simd, tier);
