@@ -5,13 +5,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <thread>
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -70,13 +68,6 @@ inline void cpu_relax() {
 #endif
 }
 
-bool env_flag_disabled(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return false;
-  return std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-         std::strcmp(v, "false") == 0 || std::strcmp(v, "no") == 0;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -87,11 +78,11 @@ struct CorePool::Impl {
     std::thread thread;
   };
 
-  explicit Impl(unsigned count)
-      : worker_count(count), pin(CorePool::pinning_enabled()), workers(count) {}
+  // The submitter is always one of the threads that run a region, so a pool
+  // of `count` spawns count - 1: one lockstep thread per CPU, never one more.
+  explicit Impl(unsigned count) : worker_count(count), workers(count - 1) {}
 
   const unsigned worker_count;
-  const bool pin;
   std::vector<Worker> workers;  // threads start lazily, in ensure_started()
   std::once_flag start_once;
 
@@ -114,7 +105,7 @@ struct CorePool::Impl {
 
   void ensure_started() {
     std::call_once(start_once, [this] {
-      for (unsigned i = 0; i < worker_count; ++i) {
+      for (std::size_t i = 0; i < workers.size(); ++i) {
         workers[i].thread = std::thread([this, i] { worker_main(i); });
       }
     });
@@ -152,30 +143,8 @@ struct CorePool::Impl {
     }
   }
 
-  void pin_worker(unsigned index) {
-#if defined(__linux__)
-    cpu_set_t available;
-    CPU_ZERO(&available);
-    if (sched_getaffinity(0, sizeof(available), &available) != 0) return;
-    std::vector<std::size_t> cpus;
-    for (std::size_t cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &available)) cpus.push_back(cpu);
-    }
-    if (cpus.empty()) return;
-    cpu_set_t target;
-    CPU_ZERO(&target);
-    CPU_SET(cpus[index % cpus.size()], &target);
-    // Best effort: a failure (restrictive cgroup, exotic libc) just leaves
-    // the worker floating.
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(target), &target);
-#else
-    (void)index;
-#endif
-  }
-
-  void worker_main(unsigned index) {
+  void worker_main(std::size_t index) {
     set_thread_name("obx-pool");
-    if (pin) pin_worker(index);
     Worker& self = workers[index];
     std::unique_lock<std::mutex> lock(mutex);
     while (!shutdown) {
@@ -240,8 +209,6 @@ CorePool::~CorePool() {
 }
 
 unsigned CorePool::worker_count() const { return impl_->worker_count; }
-
-bool CorePool::pinning() const { return impl_->pin; }
 
 SchedulerStats CorePool::parallel_for(
     std::size_t count, std::size_t grain, unsigned max_workers,
@@ -311,7 +278,6 @@ CorePool::CountersSnapshot CorePool::counters() const {
   snap.steals = impl.steals.load(std::memory_order_relaxed);
   snap.parks = impl.parks.load(std::memory_order_relaxed);
   snap.unparks = impl.unparks.load(std::memory_order_relaxed);
-  snap.pinned = impl.pin;
   snap.worker_busy_ns.reserve(impl.workers.size());
   for (const Impl::Worker& w : impl.workers) {
     snap.worker_busy_ns.push_back(w.busy_ns.load(std::memory_order_relaxed));
@@ -324,15 +290,6 @@ CorePool& CorePool::instance() {
   // the workers so LeakSanitizer sees a clean shutdown.
   static CorePool pool;
   return pool;
-}
-
-bool CorePool::pinning_enabled() {
-#if defined(__linux__)
-  static const bool enabled = !env_flag_disabled("OBX_PIN");
-  return enabled;
-#else
-  return false;
-#endif
 }
 
 unsigned default_worker_count() {

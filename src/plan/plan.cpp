@@ -206,8 +206,7 @@ std::string ExecutionPlan::describe() const {
   } else {
     os << options_.workers;
   }
-  os << " (resolved " << pv.resolved_workers << ", pool " << pv.pool_workers
-     << (pv.pool_pinned ? ", pinned" : ", unpinned") << ")\n";
+  os << " (resolved " << pv.resolved_workers << ", pool " << pv.pool_workers << ")\n";
   os << "  est. units  : " << to_u64(units_for_lanes(pv.reference_lanes)) << " @ "
      << pv.reference_lanes << " lanes\n";
   return os.str();

@@ -197,17 +197,15 @@ struct PlanProvenance {
 
   /// Worker resolution against the shared bulk::CorePool: the concrete
   /// parallelism target executors built from this plan will use (the
-  /// options_.workers knob resolved; never 0), the pool topology it was
+  /// options_.workers knob resolved; never 0) and the pool size it was
   /// resolved against (default_worker_count(): affinity-mask CPUs,
-  /// OBX_WORKERS-overridable) and whether the pool pins workers to cores
-  /// (Linux, OBX_PIN-disableable).  Part of the plan fingerprint, like the
-  /// SIMD tier: a different pool shape means different code paths run even
-  /// though results are bit-identical.  Per-run steal/park counts are
-  /// runtime observations, not decisions — they live in
-  /// HostRunResult::sched.
+  /// OBX_WORKERS-overridable; the threads that run a region, the submitter
+  /// included).  Part of the plan fingerprint, like the SIMD tier: a
+  /// different pool shape means different code paths run even though
+  /// results are bit-identical.  Per-run steal/park counts are runtime
+  /// observations, not decisions — they live in HostRunResult::sched.
   unsigned resolved_workers = 1;
   unsigned pool_workers = 1;
-  bool pool_pinned = false;
 };
 
 /// An immutable, shareable record of every input-independent decision for

@@ -75,7 +75,6 @@ std::uint64_t plan_fingerprint(const ExecutionPlan& plan) {
   mix(pv.simd_width);
   mix(pv.resolved_workers);
   mix(pv.pool_workers);
-  mix(pv.pool_pinned ? 1 : 0);
   mix(pv.resolved_tile_lanes);
   mix(static_cast<std::uint64_t>(pv.row_units));
   mix(static_cast<std::uint64_t>(pv.col_units));
@@ -223,7 +222,6 @@ std::shared_ptr<const ExecutionPlan> Planner::build(trace::Program program) cons
   //    many threads a run will target, and the pool shape backing it.
   pv.resolved_workers = plan->workers_;
   pv.pool_workers = bulk::default_worker_count();
-  pv.pool_pinned = bulk::CorePool::pinning_enabled();
 
   plan->fingerprint_ = plan_fingerprint(*plan);
   return plan;

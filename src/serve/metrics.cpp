@@ -145,7 +145,6 @@ MetricsSnapshot Metrics::snapshot() const {
   // every executor sharing it (reading them never spawns the workers).
   const bulk::CorePool::CountersSnapshot sched = bulk::CorePool::instance().counters();
   s.sched_workers = sched.worker_busy_ns.size();
-  s.sched_pinned = sched.pinned;
   s.sched_tasks = sched.tasks;
   s.sched_steals = sched.steals;
   s.sched_parks = sched.parks;
@@ -169,8 +168,7 @@ std::string MetricsSnapshot::to_string() const {
      << "  flushes     size=" << flush_size << " delay=" << flush_delay
      << " deadline=" << flush_deadline << " drain=" << flush_drain << "\n"
      << "  simulated   units/batch mean=" << mean_batch_sim_units << "\n"
-     << "  scheduler   workers=" << sched_workers
-     << (sched_pinned ? " pinned" : " unpinned") << " tasks=" << sched_tasks
+     << "  scheduler   workers=" << sched_workers << " tasks=" << sched_tasks
      << " steals=" << sched_steals << " parks=" << sched_parks
      << " unparks=" << sched_unparks << "\n";
   for (const TenantSnapshot& t : tenants) {
@@ -253,7 +251,6 @@ std::string render_prometheus(const MetricsSnapshot& s) {
   counter(os, "obx_serve_flush_deadline_total", s.flush_deadline);
   counter(os, "obx_serve_flush_drain_total", s.flush_drain);
   gauge(os, "obx_serve_sched_workers", static_cast<double>(s.sched_workers));
-  gauge(os, "obx_serve_sched_pinned", s.sched_pinned ? 1.0 : 0.0);
   counter(os, "obx_serve_sched_tasks_total", s.sched_tasks);
   counter(os, "obx_serve_sched_steals_total", s.sched_steals);
   counter(os, "obx_serve_sched_parks_total", s.sched_parks);

@@ -108,13 +108,12 @@ struct MetricsSnapshot {
   /// An imbalance signature — steals growing much faster than tasks, or
   /// parks dwarfing unparks — means batches are too small or tile costs too
   /// skewed for the configured worker count.
-  std::uint64_t sched_workers = 0;   ///< pool worker threads
-  bool sched_pinned = false;         ///< workers pinned one-per-core
+  std::uint64_t sched_workers = 0;   ///< pool threads; the submitter is the k-th
   std::uint64_t sched_tasks = 0;     ///< lane-tile tasks executed
   std::uint64_t sched_steals = 0;    ///< tasks run for another thread's region
   std::uint64_t sched_parks = 0;     ///< worker went to sleep
   std::uint64_t sched_unparks = 0;   ///< wakeups signalled by submitters
-  std::vector<std::uint64_t> sched_worker_busy_ns;  ///< per worker, in tasks
+  std::vector<std::uint64_t> sched_worker_busy_ns;  ///< per pool thread, in tasks
 
   /// Multi-line human-readable dump (the "text snapshot" of the service).
   std::string to_string() const;

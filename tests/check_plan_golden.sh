@@ -22,12 +22,11 @@ mode="${3:-check}"
 # host-independent; the SIMD tiers themselves are covered by
 # exec_equivalence_test, which asserts bit-identical results in-process.
 export OBX_SIMD=scalar
-# Likewise the CorePool topology (worker count + pinning policy) lands in
-# the provenance and the fingerprint; pin a one-worker unpinned pool so the
-# goldens don't depend on the runner's core count.  The real pool shapes are
-# covered by core_pool_test / fuzz_differential_test in-process.
+# Likewise the CorePool size lands in the provenance and the fingerprint;
+# fix a one-worker pool so the goldens don't depend on the runner's core
+# count.  The real pool shapes are covered by core_pool_test /
+# fuzz_differential_test in-process.
 export OBX_WORKERS=1
-export OBX_PIN=0
 # The goldens plan with the default backend (kAuto), which never emits JIT
 # code, so their `jit` line reads "skipped (auto backend)" on every host.  The
 # JIT itself is covered by exec_jit_test / fuzz_differential_test in-process.

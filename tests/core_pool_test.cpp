@@ -23,6 +23,10 @@
 #include "engine_plan.hpp"
 #include "exec/backend.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace {
 
 using namespace obx;
@@ -164,12 +168,12 @@ TEST(CorePool, ErrorThrownOnAWorkerIsRethrownOnTheSubmitter) {
 }
 
 TEST(CorePool, WakesASleepingWorkerForEveryNewRegion) {
-  // One worker.  Before each region the test waits until the worker sleeps
-  // on the pool condvar; the region then cannot finish its first tile until
-  // the worker has run another one.  A lost wakeup leaves the worker asleep
-  // and the gate times out.
-  CorePool pool(CorePool::Config{.workers = 1});
-  pool.parallel_for(2, 1, 2, [](std::size_t, std::size_t) {});  // starts the worker
+  // Two workers: the submitter and one pool thread.  Before each region the
+  // test waits until the pool thread sleeps on the pool condvar; the region
+  // then cannot finish its first tile until the pool thread has run another
+  // one.  A lost wakeup leaves it asleep and the gate times out.
+  CorePool pool(CorePool::Config{.workers = 2});
+  pool.parallel_for(2, 1, 2, [](std::size_t, std::size_t) {});  // starts the pool thread
   // Every park but the current one was ended by exactly one region published
   // while the worker slept, each counted in `unparks`; so, with this test the
   // only submitter, the worker is asleep iff parks > unparks.
@@ -349,9 +353,11 @@ TEST(CorePool, SingleWorkerRunsInlineWithoutTouchingThePool) {
 }
 
 TEST(CorePool, CountersTrackWorkAndTopology) {
+  // Two workers are the submitter and one pool thread; only the pool thread
+  // has a busy-time entry.
   CorePool pool(CorePool::Config{.workers = 2});
   EXPECT_EQ(pool.worker_count(), 2u);
-  EXPECT_EQ(pool.counters().worker_busy_ns.size(), 2u);
+  EXPECT_EQ(pool.counters().worker_busy_ns.size(), 1u);
   std::atomic<std::size_t> sum{0};
   pool.parallel_for(1024, 8, 2, [&](std::size_t begin, std::size_t end) {
     sum.fetch_add(end - begin, std::memory_order_relaxed);
@@ -359,8 +365,66 @@ TEST(CorePool, CountersTrackWorkAndTopology) {
   EXPECT_EQ(sum.load(), 1024u);
   const CorePool::CountersSnapshot c = pool.counters();
   EXPECT_EQ(c.tasks, 1024u / 8);
-  EXPECT_EQ(c.worker_busy_ns.size(), 2u);
+  EXPECT_EQ(c.worker_busy_ns.size(), 1u);
 }
+
+TEST(CorePool, RegionRunsOnAtMostWorkerCountThreads) {
+  // The submitter is the k-th worker: a pool of k runs a region on the
+  // submitter plus at most k - 1 pool threads, however many it asks for.
+  for (const unsigned workers : {1u, 2u, 3u}) {
+    CorePool pool(CorePool::Config{.workers = workers});
+    const std::thread::id submitter = std::this_thread::get_id();
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    const SchedulerStats stats =
+        pool.parallel_for(256, 1, workers + 4, [&](std::size_t, std::size_t) {
+          busy_work(20000);
+          std::lock_guard<std::mutex> lock(mu);
+          threads.insert(std::this_thread::get_id());
+        });
+    EXPECT_EQ(stats.tasks, 256u);
+    EXPECT_LE(threads.size(), workers) << workers << " workers";
+    EXPECT_EQ(pool.counters().worker_busy_ns.size(), workers - 1);
+    if (workers == 1) {
+      // No pool thread exists: every tile runs on the submitter.
+      EXPECT_EQ(threads, std::set<std::thread::id>{submitter});
+      EXPECT_EQ(stats.steals, 0u);
+    }
+  }
+}
+
+#if defined(__linux__)
+TEST(CorePool, PoolThreadsKeepTheProcessAffinity) {
+  // Pool threads are not pinned: a tile on a pool thread sees the same CPU
+  // mask as the submitter.
+  const auto cpus_of_this_thread = [] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    return sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : -1;
+  };
+  const int submitter_cpus = cpus_of_this_thread();
+  ASSERT_GT(submitter_cpus, 0);
+  if (submitter_cpus == 1) GTEST_SKIP() << "one CPU in the mask: a pin would not show";
+  CorePool pool(CorePool::Config{.workers = 2});
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::atomic<int> pool_thread_cpus{0};  // written only by the one pool thread
+  bool gate_timed_out = false;
+  pool.parallel_for(64, 1, 2, [&](std::size_t begin, std::size_t) {
+    if (std::this_thread::get_id() != submitter) {
+      pool_thread_cpus.store(cpus_of_this_thread(), std::memory_order_release);
+      return;
+    }
+    // The submitter's first tile holds the region open until the pool
+    // thread has run one.
+    if (begin == 0) {
+      gate_timed_out =
+          !wait_until([&] { return pool_thread_cpus.load(std::memory_order_acquire) != 0; });
+    }
+  });
+  ASSERT_FALSE(gate_timed_out) << "no tile ran on the pool thread";
+  EXPECT_EQ(pool_thread_cpus.load(), submitter_cpus);
+}
+#endif
 
 TEST(CorePool, ZeroCountIsNoop) {
   CorePool pool(CorePool::Config{.workers = 4});
@@ -446,11 +510,9 @@ TEST(CorePoolDefaults, DefaultWorkerCountIsPositiveAndAffinityBounded) {
 TEST(CorePoolDefaults, ZeroWorkersMeansDefaultWorkerCount) {
   const CorePool pool(CorePool::Config{.workers = 0});
   EXPECT_EQ(pool.worker_count(), default_worker_count());
-  EXPECT_EQ(pool.counters().worker_busy_ns.size(), default_worker_count());
+  // One busy-time entry per pool thread: the submitter is the k-th worker.
+  EXPECT_EQ(pool.counters().worker_busy_ns.size(), default_worker_count() - 1);
   EXPECT_EQ(CorePool::instance().worker_count(), default_worker_count());
-  // Pinning is no longer configurable: every pool follows the platform policy.
-  EXPECT_EQ(pool.pinning(), CorePool::pinning_enabled());
-  EXPECT_EQ(pool.counters().pinned, CorePool::pinning_enabled());
 }
 
 TEST(CorePoolDefaults, ChunkGrainGivesFourToEightTilesPerWorker) {
